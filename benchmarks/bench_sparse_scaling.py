@@ -1,12 +1,11 @@
 """Sparse/dense numerics crossover on the sparse graph families.
 
-The dense reference path materializes every derived-graph object as an
-``n x n`` numpy array and pays O(n^3) for the shortcut inverse and the
-Schur block solve even when almost all of that work is structurally
-zero. The sparse backend (:mod:`repro.linalg.sparse`) replaces those
-with solves against the eliminated block -- ``|C| x |C|`` with
-``|C| ~ sqrt(n)`` for a phase-2-shaped subset -- and stores everything
-as CSR.
+Both backends build the derived graphs with one eliminated-block kernel
+(:mod:`repro.linalg.eliminate`): a solve against the ``|C| x |C|``
+block, with ``|C| ~ sqrt(n)`` for a phase-2-shaped subset. The dense
+backend solves it with LAPACK and materializes every derived-graph
+object as an ``n x n`` numpy array; the sparse backend solves it with
+SuperLU and stores everything as CSR.
 
 This bench builds one phase-2-shaped derived-graph bundle (ShortCut,
 Schur transition, and an ``ell = 64`` power ladder over it) per
@@ -78,8 +77,8 @@ def _phase2_subset(graph: WeightedGraph) -> list[int]:
 
 def _build_numerics(graph: WeightedGraph, subset: list[int], backend) -> None:
     """One phase-2 derived-graph bundle: shortcut + Schur + ladder."""
-    shortcut = backend.shortcut_matrix(graph, subset)
-    transition, __ = backend.schur_transition(graph, subset, shortcut)
+    backend.shortcut_matrix(graph, subset)
+    transition, __ = backend.schur_transition(graph, subset)
     PowerLadder(transition, LADDER_ELL)
 
 

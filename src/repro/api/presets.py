@@ -34,7 +34,7 @@ everywhere at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from repro.core.config import SamplerConfig
 from repro.core.variants import get_variant
@@ -128,9 +128,14 @@ def preset_config(name: str, **overrides) -> SamplerConfig:
     """A preset's config with field overrides applied.
 
     ``preset_config("fast-bench", ell=1 << 10)`` is the supported way to
-    vary one knob without restating the whole recipe.
+    vary one knob without restating the whole recipe. An override that
+    names no ``SamplerConfig`` field raises :class:`ConfigError`.
     """
-    return replace(get_preset(name).config, **overrides)
+    config = get_preset(name).config
+    unknown = sorted(set(overrides) - {f.name for f in fields(config)})
+    if unknown:
+        raise ConfigError(f"unknown config field(s) {unknown}")
+    return replace(config, **overrides)
 
 
 def resolve_config(config: SamplerConfig | str | None) -> SamplerConfig:

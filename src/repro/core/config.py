@@ -20,8 +20,6 @@ MatchingMethod = Literal[
     "exact-dp", "exact-dp-reference", "exact-permanent", "mcmc"
 ]
 FailurePolicy = Literal["extend", "error"]
-SchurMethod = Literal["block", "qr-product"]
-ShortcutMethod = Literal["solve", "power-iteration"]
 PlacementMode = Literal["batched", "reference"]
 RngContract = Literal["v2", "v1"]
 
@@ -103,9 +101,6 @@ class SamplerConfig:
         Entry precision for matrix power ladders. ``None`` = full float64
         (the exact-arithmetic idealization); an integer activates the
         Lemma 7 truncation pipeline of Section 2.5.
-    schur_method / shortcut_method:
-        Which construction computes the derived graphs each phase; the
-        alternatives cross-validate each other (Corollaries 2-3).
     matmul_backend:
         ``"analytic"`` (default) charges O~(n^alpha) per multiplication
         as the paper does with the [17] black box; ``"simulated-3d"``
@@ -113,11 +108,13 @@ class SamplerConfig:
         (:class:`repro.clique.matmul3d.SimulatedMatmul`) and charges its
         *measured* rounds instead.
     linalg_backend:
-        Numerics realization for the derived graphs and power ladders
-        (:mod:`repro.linalg.backend`): ``"dense"`` is the numpy/LAPACK
-        reference path, ``"sparse"`` stores matrices as ``scipy.sparse``
-        CSR and uses the elimination-block kernels, and ``"auto"``
-        (default) picks sparse only for large sparse inputs
+        Storage for the derived graphs and power ladders
+        (:mod:`repro.linalg.backend`): ``"dense"`` keeps numpy arrays,
+        ``"sparse"`` keeps ``scipy.sparse`` CSR. Both build ShortCut and
+        Schur with the one eliminated-block kernel
+        (:mod:`repro.linalg.eliminate`); only its Schur block solve
+        (LAPACK vs SuperLU) follows the storage. ``"auto"`` (default)
+        picks sparse only for large sparse inputs
         (``sparse_auto_min_n`` vertices or more at graph density at most
         ``sparse_auto_density``). Round bills are backend-independent
         (the charging model is analytic); trees for the same seed agree
@@ -181,8 +178,6 @@ class SamplerConfig:
     placement_mode: PlacementMode = "batched"
     rng_contract: RngContract = "v2"
     precision_bits: int | None = None
-    schur_method: SchurMethod = "block"
-    shortcut_method: ShortcutMethod = "solve"
     matmul_backend: Literal["analytic", "simulated-3d"] = "analytic"
     linalg_backend: Literal["auto", "dense", "sparse"] = "auto"
     sparse_auto_min_n: int = 192
@@ -226,12 +221,6 @@ class SamplerConfig:
         if self.precision_bits is not None and self.precision_bits < 8:
             raise ConfigError(
                 f"precision_bits must be >= 8, got {self.precision_bits}"
-            )
-        if self.schur_method not in ("block", "qr-product"):
-            raise ConfigError(f"unknown schur method {self.schur_method!r}")
-        if self.shortcut_method not in ("solve", "power-iteration"):
-            raise ConfigError(
-                f"unknown shortcut method {self.shortcut_method!r}"
             )
         if self.matmul_backend not in ("analytic", "simulated-3d"):
             raise ConfigError(

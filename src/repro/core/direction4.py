@@ -29,11 +29,8 @@ from repro.clique.network import CongestedClique
 from repro.errors import GraphError, SamplingError
 from repro.graphs.core import WeightedGraph
 from repro.graphs.spanning import TreeKey, is_spanning_tree, tree_key
-from repro.linalg.schur import schur_complement_graph
-from repro.linalg.shortcut import (
-    first_visit_edge_distribution,
-    shortcut_transition_matrix,
-)
+from repro.linalg.eliminate import schur_weights, shortcut
+from repro.linalg.shortcut import first_visit_edge_distribution
 from repro.walks.doubling import doubling_random_walk
 
 __all__ = ["Direction4Result", "Direction4Sampler"]
@@ -111,12 +108,13 @@ class Direction4Sampler:
                 raise SamplingError("Direction 4 sampler exceeded 4n phases")
             subset = sorted((set(range(n)) - visited) | {current})
             with ledger.section(f"phase-{phases}"):
-                shortcut = shortcut_transition_matrix(graph, subset)
+                q = shortcut(graph.transition_matrix(), subset)
                 if len(subset) == n:
                     phase_graph = graph
                     order = list(range(n))
                 else:
-                    phase_graph, order = schur_complement_graph(graph, subset)
+                    weights, order = schur_weights(graph.laplacian(), subset)
+                    phase_graph = WeightedGraph(weights, validate=False)
                     # Section 2.4 charge for the derived graphs.
                     ledger.charge_matmul(
                         2 * n, count=max(1, math.ceil(math.log2(n**3))),
@@ -148,7 +146,7 @@ class Direction4Sampler:
                     uniforms = rng.random(len(steps))
                     for (prev, v), uniform in zip(steps, uniforms):
                         neighbors, law = first_visit_edge_distribution(
-                            graph, subset, shortcut, prev, v
+                            graph, subset, q, prev, v
                         )
                         cdf = np.cumsum(law)
                         index = int(
@@ -159,7 +157,7 @@ class Direction4Sampler:
                 else:
                     for prev, v in steps:
                         neighbors, law = first_visit_edge_distribution(
-                            graph, subset, shortcut, prev, v
+                            graph, subset, q, prev, v
                         )
                         u = int(
                             neighbors[int(rng.choice(len(neighbors), p=law))]

@@ -481,7 +481,7 @@ class SamplerEngine:
             transition = self.linalg.transition_matrix(graph)
             order = list(range(graph.n))
         else:
-            transition, order = self._compute_schur(subset, shortcut, ledger)
+            transition, order = self._compute_schur(subset, ledger)
         ladder = PowerLadder(
             transition,
             ell,
@@ -536,13 +536,10 @@ class SamplerEngine:
         Returns ``(matrix, squarings)`` with ``squarings`` the charged
         count (0 in phase 1), recorded for cache replay.
         """
-        config = self.config
-        beta = config.normalizer_floor(self.graph.n)
-        shortcut = self.linalg.shortcut_matrix(
-            self.graph, subset, method=config.shortcut_method, beta=beta
-        )
+        shortcut = self.linalg.shortcut_matrix(self.graph, subset)
         squarings = 0
         if not is_phase_one:
+            beta = self.config.normalizer_floor(self.graph.n)
             # Corollary 2: log(k) squarings of the 2n x 2n auxiliary chain.
             squarings = max(
                 1,
@@ -575,15 +572,10 @@ class SamplerEngine:
             ledger.charge_matmul(size, count=count, note=note)
 
     def _compute_schur(
-        self,
-        subset: list[int],
-        shortcut: np.ndarray,
-        ledger: RoundLedger,
+        self, subset: list[int], ledger: RoundLedger
     ) -> tuple[np.ndarray, list[int]]:
         """Schur(G, S) transition matrix + its Corollary 3 round charge."""
-        transition, order = self.linalg.schur_transition(
-            self.graph, subset, shortcut, method=self.config.schur_method
-        )
+        transition, order = self.linalg.schur_transition(self.graph, subset)
         # Corollary 3: one extra product (QR) on top of the shortcut work.
         self._charge_derived_matmul(
             ledger, self.graph.n, count=1, note="schur graph"

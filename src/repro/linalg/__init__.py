@@ -4,19 +4,23 @@ Implements Section 1.7 (definitions), Section 2.4 (CongestedClique
 computation of the derived graphs) and Lemma 7 (matrix powers with bounded
 subtractive error):
 
-- :mod:`repro.linalg.schur` -- ``Schur(G, S)`` (Definitions 1 and 2) via
-  block elimination, single-vertex elimination, and the Corollary-3
-  QR-product construction;
-- :mod:`repro.linalg.shortcut` -- ``ShortCut(G, S)`` (Definition 3) via
-  the fundamental matrix and via Corollary 2's absorbing power iteration;
+- :mod:`repro.linalg.eliminate` -- the one kernel the sampler builds
+  ``ShortCut(G, S)`` and ``Schur(G, S)`` with: solves against the
+  eliminated block ``V \\ S`` (the Schur one on SuperLU for CSR);
+- :mod:`repro.linalg.schur` -- Definition-level ``Schur(G, S)`` oracles
+  (Definitions 1 and 2): full block elimination, single-vertex
+  elimination, the Corollary-3 QR-product construction and the
+  first-hit law;
+- :mod:`repro.linalg.shortcut` -- Definition-level ``ShortCut(G, S)``
+  oracles (Definition 3): the ``n x n`` fundamental-matrix inverse and
+  Corollary 2's absorbing power iteration; plus Algorithm 4's
+  first-visit edge law;
 - :mod:`repro.linalg.matpow` -- the repeated-squaring power ladder with
   per-squaring entry rounding and the Lemma 7 error recurrence;
-- :mod:`repro.linalg.backend` -- the sparse/dense dual-backend dispatch
+- :mod:`repro.linalg.backend` -- the dense/sparse storage backends
   (:class:`~repro.linalg.backend.DenseLinalg` /
   :class:`~repro.linalg.backend.SparseLinalg`) plus the format-agnostic
-  matrix accessors the walk layer consumes;
-- :mod:`repro.linalg.sparse` -- the scipy CSR kernels behind the sparse
-  backend (eliminated-block shortcut, boundary-block Schur complement).
+  matrix accessors the walk layer consumes.
 """
 
 from repro.linalg.backend import (

@@ -4,17 +4,18 @@ Every heavy matrix object the sampler touches -- transition matrices,
 ShortCut(G, S) matrices, Schur complements, power-ladder entries -- used
 to be a dense ``(n, n)`` numpy array, so wall-clock and memory grew
 quadratically with ``n`` regardless of how sparse the input graph was.
-This module introduces the dispatch point between two realizations:
+This module introduces the dispatch point between two storages for the
+same numerics:
 
-- :class:`DenseLinalg` -- the reference path: plain numpy arrays and the
-  existing LAPACK-backed constructions in :mod:`repro.linalg.schur` and
-  :mod:`repro.linalg.shortcut`, byte-for-byte the seed behavior.
-- :class:`SparseLinalg` -- ``scipy.sparse`` CSR matrices and the
-  elimination-based constructions in :mod:`repro.linalg.sparse`, which
-  exploit the block structure of the absorbing chains (visits before
-  entering S are confined to the eliminated region) to replace the
-  O(n^3) dense inverses with solves against the much smaller eliminated
-  block.
+- :class:`DenseLinalg` -- plain numpy arrays;
+- :class:`SparseLinalg` -- ``scipy.sparse`` CSR matrices.
+
+Both build ShortCut(G, S) and Schur(G, S) with the one eliminated-block
+kernel in :mod:`repro.linalg.eliminate`: solves against the
+``|V \\ S|``-sized block, where the Schur solve runs on LAPACK for
+arrays and on SuperLU for CSR. Their ``shortcut_matrix`` /
+``schur_transition`` methods only hand the kernel ``P`` or ``L`` in
+their storage.
 
 Selection: :func:`resolve_linalg_backend` honours the explicit
 ``SamplerConfig.linalg_backend`` override and otherwise auto-selects by
@@ -28,9 +29,9 @@ Numerical contract: both backends evaluate the same formulas over the
 same float64 inputs, so sampled trees and (analytic) round bills agree
 for the same seed; cross-backend property tests pin byte-identical
 trees and ledgers at n <= 128 across every registered graph family.
-Individual matrix entries may differ in final ulps (sparse kernels
-accumulate sums in a different order than BLAS), which is why the
-backend is part of the derived-graph cache key.
+Individual matrix entries may differ in final ulps (SuperLU and CSR
+sums accumulate in a different order than LAPACK/BLAS), which is why
+the backend is part of the derived-graph cache key.
 
 The module-level helpers (:func:`matrix_row`, :func:`matrix_col`,
 :func:`to_dense`, ...) are the format-agnostic accessors the walk layer
@@ -43,6 +44,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.linalg import eliminate
 
 try:  # pragma: no cover - exercised implicitly by every sparse test
     import scipy.sparse as _sp
@@ -159,7 +161,7 @@ def maybe_densify(matrix, threshold: float = DENSIFY_FILL):
 
 
 class DenseLinalg:
-    """Reference realization: numpy arrays + the LAPACK constructions."""
+    """numpy storage: every eliminated-block solve is LAPACK."""
 
     name = "dense"
 
@@ -167,33 +169,17 @@ class DenseLinalg:
         """The phase-1 walk matrix (a private dense copy)."""
         return graph.transition_matrix().copy()
 
-    def shortcut_matrix(
-        self, graph, subset, *, method: str = "solve", beta: float = 1e-12
-    ):
-        """``ShortCut(G, S)`` via the configured construction."""
-        from repro.linalg.shortcut import (
-            shortcut_transition_matrix,
-            shortcut_via_power_iteration,
-        )
+    def shortcut_matrix(self, graph, subset):
+        """``ShortCut(G, S)`` as an ``n x n`` array."""
+        return eliminate.shortcut(graph.transition_matrix(), subset)
 
-        if method == "power-iteration":
-            return shortcut_via_power_iteration(graph, subset, beta=beta)
-        return shortcut_transition_matrix(graph, subset)
-
-    def schur_transition(self, graph, subset, shortcut, *, method: str = "block"):
-        """``Schur(G, S)`` transition matrix via the configured construction."""
-        from repro.linalg.schur import (
-            schur_transition_matrix,
-            schur_via_qr_product,
-        )
-
-        if method == "qr-product":
-            return schur_via_qr_product(graph, subset, shortcut_matrix=shortcut)
-        return schur_transition_matrix(graph, subset)
+    def schur_transition(self, graph, subset):
+        """``(transition, order)`` of the walk on ``Schur(G, S)``, as an array."""
+        return eliminate.schur_transition(graph.laplacian(), subset)
 
 
 class SparseLinalg:
-    """CSR realization: scipy.sparse storage + elimination-block kernels."""
+    """CSR storage: the Schur eliminated-block solve is SuperLU."""
 
     name = "sparse"
 
@@ -208,29 +194,13 @@ class SparseLinalg:
         """Phase-1 walk matrix as CSR (entries identical to the dense P)."""
         return _sp.csr_array(graph.transition_matrix())
 
-    def shortcut_matrix(
-        self, graph, subset, *, method: str = "solve", beta: float = 1e-12
-    ):
-        from repro.linalg.sparse import (
-            sparse_shortcut_matrix,
-            sparse_shortcut_via_power_iteration,
-        )
+    def shortcut_matrix(self, graph, subset):
+        """``ShortCut(G, S)`` as an ``n x n`` CSR array."""
+        return eliminate.shortcut(_sp.csr_array(graph.transition_matrix()), subset)
 
-        if method == "power-iteration":
-            return sparse_shortcut_via_power_iteration(graph, subset, beta=beta)
-        return sparse_shortcut_matrix(graph, subset)
-
-    def schur_transition(self, graph, subset, shortcut, *, method: str = "block"):
-        from repro.linalg.sparse import (
-            sparse_schur_transition,
-            sparse_schur_via_qr_product,
-        )
-
-        if method == "qr-product":
-            return sparse_schur_via_qr_product(
-                graph, subset, shortcut_matrix=shortcut
-            )
-        return sparse_schur_transition(graph, subset)
+    def schur_transition(self, graph, subset):
+        """``(transition, order)`` of the walk on ``Schur(G, S)``, as CSR."""
+        return eliminate.schur_transition(_sp.csr_array(graph.laplacian()), subset)
 
 
 # ----------------------------------------------------------------------

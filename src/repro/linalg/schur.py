@@ -10,7 +10,10 @@ walk on G (Theorem 2.4 of Schild [69], quoted as the motivation for
 Definition 1), which is exactly what the sampler's later phases need to skip
 over already-visited vertices.
 
-Three independent constructions are provided and cross-validated in tests:
+The sampler builds the Schur walk with the eliminated-block kernel
+(:func:`repro.linalg.eliminate.schur_transition`), which solves only the
+boundary columns of ``L_CS``. The constructions here are the
+Definition-level oracles it is tested against:
 
 - :func:`schur_complement_laplacian` -- direct block elimination (the
   definition);
@@ -33,6 +36,7 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graphs.core import WeightedGraph
+from repro.linalg.eliminate import CLIP, split_subset
 
 __all__ = [
     "schur_complement_laplacian",
@@ -42,18 +46,6 @@ __all__ = [
     "schur_via_qr_product",
     "first_hit_distribution",
 ]
-
-_CLIP = 1e-13
-
-
-def _validate_subset(n: int, subset: Sequence[int]) -> list[int]:
-    s = sorted(set(int(v) for v in subset))
-    if not s:
-        raise GraphError("S must be non-empty")
-    if s[0] < 0 or s[-1] >= n:
-        raise GraphError(f"S contains out-of-range vertices for n={n}")
-    return s
-
 
 def schur_complement_laplacian(
     laplacian: np.ndarray, subset: Sequence[int]
@@ -65,10 +57,8 @@ def schur_complement_laplacian(
     input unchanged. ``L_CC`` is invertible whenever every eliminated
     component touches S (true for connected graphs).
     """
-    n = laplacian.shape[0]
-    s = _validate_subset(n, subset)
-    complement = [v for v in range(n) if v not in set(s)]
-    if not complement:
+    s, complement = split_subset(laplacian.shape[0], subset)
+    if not complement.size:
         return np.asarray(laplacian, dtype=np.float64).copy()
     l_ss = laplacian[np.ix_(s, s)]
     l_sc = laplacian[np.ix_(s, complement)]
@@ -95,11 +85,11 @@ def schur_complement_graph(
     is a Laplacian, so ``H``'s weights are the negated off-diagonal entries
     (clipped at 0 to absorb float noise).
     """
-    s = _validate_subset(graph.n, subset)
+    s, _ = split_subset(graph.n, subset)
     schur = schur_complement_laplacian(graph.laplacian(), s)
     weights = -schur
     np.fill_diagonal(weights, 0.0)
-    weights[np.abs(weights) < _CLIP] = 0.0
+    weights[np.abs(weights) < CLIP] = 0.0
     if np.any(weights < -1e-8):
         raise GraphError(
             "Schur complement produced significantly negative weights; "
@@ -120,11 +110,10 @@ def schur_by_elimination(
     cross-check, and the textbook "replace eliminated vertex by a clique on
     its neighbors" operation of [55].
     """
-    s = _validate_subset(graph.n, subset)
-    keep = set(s)
+    s, eliminated = split_subset(graph.n, subset)
     weights = graph.weights.copy()
     alive = list(range(graph.n))
-    for victim in [v for v in range(graph.n) if v not in keep]:
+    for victim in eliminated.tolist():
         idx = alive.index(victim)
         w_row = weights[idx, :].copy()
         degree = w_row.sum()
@@ -142,7 +131,7 @@ def schur_by_elimination(
         alive = [alive[i] for i in remaining]
     if alive != s:
         raise GraphError("elimination order bookkeeping failed")  # pragma: no cover
-    weights[np.abs(weights) < _CLIP] = 0.0
+    weights[np.abs(weights) < CLIP] = 0.0
     return WeightedGraph(weights, validate=False), s
 
 
@@ -170,7 +159,7 @@ def first_hit_distribution(
     of ``S \\ {start}`` a walk from ``start`` visits. The ``start`` entry
     is 0 (the paper's S has no self transitions).
     """
-    s = _validate_subset(graph.n, subset)
+    s, _ = split_subset(graph.n, subset)
     if start not in s:
         raise GraphError(f"start vertex {start} must lie in S")
     transition = graph.transition_matrix()
@@ -217,20 +206,18 @@ def schur_via_qr_product(
     """
     from repro.linalg.shortcut import shortcut_transition_matrix
 
-    s = _validate_subset(graph.n, subset)
+    s, _ = split_subset(graph.n, subset)
     if shortcut_matrix is None:
         shortcut_matrix = shortcut_transition_matrix(graph, s)
     n = graph.n
     weights = graph.weights
-    in_s = np.zeros(n, dtype=bool)
-    in_s[s] = True
-    weight_into_s = weights[:, in_s].sum(axis=1)
+    weight_into_s = weights[:, s].sum(axis=1)
     r = np.zeros((n, n))
     for u in range(n):
         if weight_into_s[u] <= 0:
             r[u, u] = 1.0
         else:
-            r[u, in_s] = weights[u, in_s] / weight_into_s[u]
+            r[u, s] = weights[u, s] / weight_into_s[u]
     qr = shortcut_matrix @ r
     sub = qr[np.ix_(s, s)].copy()
     transition = np.zeros_like(sub)

@@ -10,16 +10,22 @@ for a walk ``x_0 = u, x_1, ...`` on G: the law of the vertex visited
 uses Q with Bayes' rule to recover first-visit edges in G from transitions
 of the Schur walk (Section 2.2).
 
-Two constructions:
+The sampler builds Q with the eliminated-block kernel
+(:func:`repro.linalg.eliminate.shortcut`). The two Definition-level
+constructions here are the oracles it is tested against:
 
 - :func:`shortcut_transition_matrix` -- exact, via the fundamental matrix
   of the "entering S absorbs" chain: with ``Ptilde`` equal to P with all
   columns in S zeroed, ``G = (I - Ptilde)^{-1}`` counts expected
-  pre-absorption visits, and ``Q[u, v] = G[u, v] * P[v, S]``.
+  pre-absorption visits, and ``Q[u, v] = G[u, v] * P[v, S]``. It inverts
+  the full ``n x n`` matrix.
 - :func:`shortcut_via_power_iteration` -- the paper's own Corollary 2
   construction: a 2n-vertex auxiliary absorbing chain R whose limit
   ``R^inf[u', v'']`` equals ``Q[u, v]``, approximated by repeated squaring
   to subtractive error beta.
+
+:func:`first_visit_edge_distribution` (Algorithm 4's Bayes rule over Q)
+is production code.
 """
 
 from __future__ import annotations
@@ -30,23 +36,13 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graphs.core import WeightedGraph
+from repro.linalg.eliminate import split_subset
 
 __all__ = [
     "shortcut_transition_matrix",
     "shortcut_via_power_iteration",
     "first_visit_edge_distribution",
 ]
-
-
-def _subset_mask(n: int, subset: Sequence[int]) -> np.ndarray:
-    s = sorted(set(int(v) for v in subset))
-    if not s:
-        raise GraphError("S must be non-empty")
-    if s[0] < 0 or s[-1] >= n:
-        raise GraphError(f"S contains out-of-range vertices for n={n}")
-    mask = np.zeros(n, dtype=bool)
-    mask[s] = True
-    return mask
 
 
 def shortcut_transition_matrix(
@@ -60,11 +56,11 @@ def shortcut_transition_matrix(
     visit on stepping into S next gives ``Q[u, v] = G[u, v] * P[v, S]``.
     Rows of Q sum to 1 whenever every vertex can reach S.
     """
-    mask = _subset_mask(graph.n, subset)
+    s, _ = split_subset(graph.n, subset)
     transition = graph.transition_matrix()
-    into_s = transition[:, mask].sum(axis=1)
+    into_s = transition[:, s].sum(axis=1)
     p_tilde = transition.copy()
-    p_tilde[:, mask] = 0.0
+    p_tilde[:, s] = 0.0
     identity = np.eye(graph.n)
     try:
         visits = np.linalg.inv(identity - p_tilde)
@@ -103,14 +99,14 @@ def shortcut_via_power_iteration(
     """
     if not (0 < beta < 1):
         raise GraphError(f"beta must be in (0, 1), got {beta}")
-    mask = _subset_mask(graph.n, subset)
+    s, _ = split_subset(graph.n, subset)
     n = graph.n
     transition = graph.transition_matrix()
-    into_s = transition[:, mask].sum(axis=1)
+    into_s = transition[:, s].sum(axis=1)
     aux = np.zeros((2 * n, 2 * n))
     # L copies occupy indices 0..n-1, R copies n..2n-1.
     aux[:n, :n] = transition
-    aux[:n, mask.nonzero()[0]] = 0.0  # steps into S are redirected ...
+    aux[:n, s] = 0.0  # steps into S are redirected ...
     aux[np.arange(n), n + np.arange(n)] = into_s  # ... to the absorbing copy
     aux[n + np.arange(n), n + np.arange(n)] = 1.0
     current = aux
@@ -160,8 +156,8 @@ def first_visit_edge_distribution(
     """
     from repro.linalg.backend import matrix_row
 
-    mask = _subset_mask(graph.n, subset)
-    if not mask[new_vertex]:
+    s, _ = split_subset(graph.n, subset)
+    if new_vertex not in s:
         raise GraphError(f"new vertex {new_vertex} must lie in S")
     neighbors = list(graph.neighbors(new_vertex))
     if not neighbors:
@@ -174,7 +170,7 @@ def first_visit_edge_distribution(
     # O(n^2)-per-edge hot spot at interpreter speed.
     neighbor_idx = np.asarray(neighbors, dtype=np.intp)
     if weight_into_s is None:
-        into_s = graph.weights[neighbor_idx][:, mask].sum(axis=1)
+        into_s = graph.weights[neighbor_idx][:, s].sum(axis=1)
     else:
         into_s = np.asarray(weight_into_s)[neighbor_idx]
     feasible = into_s > 0  # no S-neighbor => cannot be the entry edge

@@ -57,12 +57,12 @@ def _check_foster() -> str:
 
 def _check_figure2() -> str:
     from repro import graphs
-    from repro.linalg import schur_transition_matrix, shortcut_transition_matrix
+    from repro.linalg import DenseLinalg
 
     g = graphs.figure2_graph()
-    schur, _ = schur_transition_matrix(g, [0, 1, 3])
+    schur, _ = DenseLinalg().schur_transition(g, [0, 1, 3])
     assert np.allclose(schur, np.full((3, 3), 0.5) - 0.5 * np.eye(3))
-    shortcut = shortcut_transition_matrix(g, [0, 1, 3])
+    shortcut = DenseLinalg().shortcut_matrix(g, [0, 1, 3])
     assert np.allclose(shortcut[:, 2], 1.0)
     return "Figure 2 Schur + shortcut values exact"
 

@@ -63,12 +63,12 @@ class ShortcuttingSampler:
     start_vertex:
         The Aldous-Broder root (contributes no first-visit edge).
     linalg_backend:
-        Numerics realization for the per-phase derived graphs:
-        ``"dense"`` (default, the numpy reference path) or ``"sparse"``
-        (scipy CSR + the elimination-block kernels of
-        :mod:`repro.linalg.sparse`). The walk itself only reads rows
-        through the format-agnostic accessors, so both backends draw
-        identical trees for the same seed.
+        Storage for the per-phase derived graphs: ``"dense"`` (default,
+        numpy arrays) or ``"sparse"`` (scipy CSR). Both build them with
+        the eliminated-block kernel of :mod:`repro.linalg.eliminate`.
+        The walk itself only reads rows through the format-agnostic
+        accessors, so both backends draw identical trees for the same
+        seed.
     rng_contract:
         ``"v2"`` (default) draws each phase's first-visit edges from one
         uniform block resolved against per-edge CDFs; ``"v1"`` keeps the
@@ -123,9 +123,7 @@ class ShortcuttingSampler:
                 transition = self.linalg.transition_matrix(graph)
                 order = list(range(n))
             else:
-                transition, order = self.linalg.schur_transition(
-                    graph, subset, shortcut
-                )
+                transition, order = self.linalg.schur_transition(graph, subset)
             index_of = {v: i for i, v in enumerate(order)}
             rho_eff = min(self.rho, len(subset))
             phase_n = transition.shape[0]

@@ -175,6 +175,12 @@ class TestPresets:
         # the base recipe is untouched
         assert get_preset("fast-bench").config.ell == 1 << 12
 
+    def test_preset_config_unknown_field_is_config_error(self):
+        # schur_method was a SamplerConfig field before the one-kernel
+        # linalg layer retired it; old callers get a named ConfigError.
+        with pytest.raises(ConfigError, match="schur_method"):
+            preset_config("fast-bench", schur_method="qr-product")
+
     def test_resolve_config_accepts_all_shapes(self):
         assert resolve_config(None) == SamplerConfig()
         assert resolve_config("fast-audit").ell == 1 << 10

@@ -33,10 +33,6 @@ class TestValidation:
             SamplerConfig(on_failure="retry")
         with pytest.raises(ConfigError):
             SamplerConfig(matching_method="jsv")
-        with pytest.raises(ConfigError):
-            SamplerConfig(schur_method="magic")
-        with pytest.raises(ConfigError):
-            SamplerConfig(shortcut_method="magic")
 
     def test_bad_precision(self):
         with pytest.raises(ConfigError):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import graphs, sample_spanning_tree
+from repro import graphs
 from repro.core import (
     CongestedCliqueTreeSampler,
     ExactTreeSampler,
@@ -62,19 +62,6 @@ class TestPhaseCountScaling:
         approx = CongestedCliqueTreeSampler(g, FAST).sample(rng)
         exact = ExactTreeSampler(g, FAST).sample(rng)
         assert exact.phases > approx.phases
-
-
-class TestSchurShortcutsConsistency:
-    """The two derived-graph implementations give identical samplers."""
-
-    def test_same_seed_same_tree_across_methods(self):
-        g = graphs.cycle_with_chord(8)
-        block = SamplerConfig(ell=1 << 10, schur_method="block")
-        qr = SamplerConfig(ell=1 << 10, schur_method="qr-product")
-        for seed in range(5):
-            a = sample_spanning_tree(g, rng=seed, config=block)
-            b = sample_spanning_tree(g, rng=seed, config=qr)
-            assert a == b  # numerically identical transition matrices
 
 
 class TestRoundAccountingConsistency:

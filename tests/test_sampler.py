@@ -111,15 +111,13 @@ class TestConfigurations:
         [
             SamplerConfig(ell=1 << 10, matching_method="exact-permanent"),
             SamplerConfig(ell=1 << 10, matching_method="mcmc"),
-            SamplerConfig(ell=1 << 10, schur_method="qr-product"),
-            SamplerConfig(ell=1 << 10, shortcut_method="power-iteration"),
             SamplerConfig(ell=1 << 10, rho=3),
             SamplerConfig(ell=1 << 10, start_vertex=2),
             SamplerConfig(ell=1 << 10, precision_bits=48),
             SamplerConfig(ell=1 << 10, matmul_backend="simulated-3d"),
         ],
         ids=[
-            "permanent", "mcmc", "qr-schur", "power-shortcut", "rho3",
+            "permanent", "mcmc", "rho3",
             "start2", "rounded", "simulated-matmul",
         ],
     )

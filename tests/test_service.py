@@ -85,6 +85,13 @@ class TestEnvelopeValidation:
         with pytest.raises(ServiceError, match="unknown envelope field"):
             parse_service_envelope(envelope(bogus=1), LIMITS)
 
+    @pytest.mark.parametrize("field", ["schur_method", "shortcut_method"])
+    def test_retired_config_fields_rejected(self, field):
+        # Both derived-graph method knobs were retired when ShortCut and
+        # Schur moved onto one kernel; old clients get the usual 400.
+        with pytest.raises(ServiceError, match="unknown config field"):
+            parse_service_envelope(envelope(config={field: "x"}), LIMITS)
+
     @pytest.mark.parametrize("missing", ["graph", "request"])
     def test_missing_required_sections(self, missing):
         doc = envelope()
