@@ -81,19 +81,85 @@ from repro.matching.sampler import (
     restore_prepared_vectorized,
 )
 
-__all__ = ["PlacementPlan"]
+__all__ = ["PlacementPlan", "PLAN_MEMBERS"]
 
-# Version 2 adds the persisted contingency-DP CDF tables (dpk/dpc/dpa/dpf
-# namespaces); version-1 blobs are still readable (they simply carry no
-# DP seeds).
-PLAN_FORMAT_VERSION = 2
-_READABLE_FORMATS = (1, 2)
+# Version 3 is columnar: one fixed set of arrays per plan, whatever it
+# holds, so a blob has 14 zip members rather than one per memo entry
+# (zip directory and header parsing dominated loading and saving the
+# older layouts). Older blobs raise ValueError and load as cold plans;
+# the next spill rewrites them.
+PLAN_FORMAT_VERSION = 3
+PLAN_MEMBERS = (
+    "plan_format",
+    # Midpoint laws: (k, 3) (level, p, q) keys and one (k, |S|) matrix.
+    "law_keys",
+    "law_values",
+    # First-visit tables: (f, 2) (prev, vertex) keys, per-key lengths,
+    # concatenated neighbors and probabilities.
+    "fv_keys",
+    "fv_lengths",
+    "fv_neighbors",
+    "fv_probabilities",
+    # Contingency-DP seeds: per digest its allocation width and number
+    # of (column, state) keys; per key its option count; flat
+    # allocation rows and cdf values.
+    "dp_digests",
+    "dp_widths",
+    "dp_key_counts",
+    "dp_keys",
+    "dp_counts",
+    "dp_allocations",
+    "dp_cdfs",
+)
 
 # How many instance digests' CDF tables ride along in plan.npz, ranked
 # by prepared_dp use count. Each entry is a few KiB (per-state allocation
 # matrices + cdf vectors), so the cap bounds blob growth while covering
 # every digest a warm phase actually cycles through.
 DP_SEED_TOP_K = 32
+
+
+def _concat(blocks: list[np.ndarray], dtype) -> np.ndarray:
+    """Concatenate 1-D blocks (an empty list gives an empty array)."""
+    if not blocks:
+        return np.empty(0, dtype=dtype)
+    return np.concatenate(blocks).astype(dtype, copy=False)
+
+
+def _column(
+    arrays: Mapping[str, np.ndarray], name: str, dtype, shape: tuple
+) -> np.ndarray:
+    """One plan member, checked against its dtype and shape.
+
+    ``shape`` gives each axis's required length, ``None`` for any.
+    """
+    value = np.asarray(arrays[name])
+    if value.dtype != dtype or value.ndim != len(shape) or any(
+        want is not None and got != want
+        for got, want in zip(value.shape, shape)
+    ):
+        raise ValueError(
+            f"plan array {name!r} is {value.dtype}{value.shape}, "
+            f"expected {np.dtype(dtype)}{shape}"
+        )
+    return value
+
+
+def _offsets(lengths: np.ndarray, total: int, what: str) -> list[int]:
+    """Start offsets of consecutive blocks (plus the end), validated.
+
+    Every block must be non-empty and the blocks must tile ``total``
+    exactly, so a corrupted length can never slice past the data.
+    """
+    if lengths.shape[0] and int(lengths.min()) < 1:
+        raise ValueError(f"empty {what} block")
+    offsets = [0]
+    offsets.extend(np.cumsum(lengths).tolist())
+    if offsets[-1] != total:
+        raise ValueError(
+            f"{what} lengths sum to {offsets[-1]}, data holds {total}"
+        )
+    return offsets
 
 
 class PlacementPlan:
@@ -442,111 +508,164 @@ class PlacementPlan:
         )
         return {digest: candidates[digest] for digest in ranked[:DP_SEED_TOP_K]}
 
-    def export_arrays(self) -> dict[str, np.ndarray]:
-        """The persistable memos as flat named arrays (npz-ready).
+    def export_arrays(self) -> dict[str, np.ndarray] | None:
+        """The persistable memos as the fixed :data:`PLAN_MEMBERS` arrays.
 
         Prepared-DP layered state (forward/backward passes) is excluded
         -- it rebuilds from the persisted classification -- but the
-        per-state CDF tables of the hottest digests ride along under the
-        ``dpk/dpc/dpa/dpf`` namespaces: keys, per-state option counts,
-        concatenated allocation rows, concatenated cdf values. Exporting
-        clears the evaluators' dirty flags so an unchanged steady state
-        is not respilled every run.
+        per-state CDF tables of the hottest digests ride along in the
+        ``dp_*`` columns. Returns None when the plan holds no laws,
+        first-visit tables or DP seeds (nothing worth spilling).
+        Exporting changes no state: the caller clears the dirty flags
+        through :meth:`mark_spilled` once the blob is actually
+        published.
         """
+        seeds = self._dp_seed_exports()
+        if not (self._laws or self._first_visit or seeds):
+            return None
+        laws = self._laws
+        fv_entries = list(self._first_visit.values())
         arrays: dict[str, np.ndarray] = {
-            "plan_format": np.asarray([PLAN_FORMAT_VERSION], dtype=np.int64)
+            "plan_format": np.asarray([PLAN_FORMAT_VERSION], dtype=np.int64),
+            "law_keys": np.asarray(list(laws), dtype=np.int64).reshape(-1, 3),
+            "law_values": (
+                np.stack([law for law, __ in laws.values()])
+                if laws
+                else np.empty((0, 0), dtype=np.float64)
+            ),
+            "fv_keys": np.asarray(
+                list(self._first_visit), dtype=np.int64
+            ).reshape(-1, 2),
+            "fv_lengths": np.asarray(
+                [neighbors.shape[0] for neighbors, __ in fv_entries],
+                dtype=np.int64,
+            ),
+            "fv_neighbors": _concat(
+                [neighbors for neighbors, __ in fv_entries], np.int64
+            ),
+            "fv_probabilities": _concat(
+                [probabilities for __, probabilities in fv_entries], np.float64
+            ),
         }
-        for (level, p, q), (law, __) in self._laws.items():
-            arrays[f"law/{level}/{p}/{q}"] = np.ascontiguousarray(law)
-        for (prev, vertex), (neighbors, probabilities) in (
-            self._first_visit.items()
-        ):
-            arrays[f"fvn/{prev}/{vertex}"] = neighbors
-            arrays[f"fvp/{prev}/{vertex}"] = probabilities
-        for digest, entries in self._dp_seed_exports().items():
-            keys = np.asarray(sorted(entries), dtype=np.int64).reshape(-1, 2)
-            counts = []
-            allocation_blocks = []
-            cdf_blocks = []
-            for col_index, code in keys:
-                allocations, cdf = entries[(int(col_index), int(code))]
+        digests: list[str] = []
+        widths: list[int] = []
+        key_counts: list[int] = []
+        keys: list[tuple[int, int]] = []
+        counts: list[int] = []
+        allocation_blocks: list[np.ndarray] = []
+        cdf_blocks: list[np.ndarray] = []
+        for digest, entries in seeds.items():
+            ordered = sorted(entries)
+            digests.append(digest)
+            widths.append(int(entries[ordered[0]][0].shape[1]))
+            key_counts.append(len(ordered))
+            for key in ordered:
+                allocations, cdf = entries[key]
+                keys.append(key)
                 counts.append(allocations.shape[0])
-                allocation_blocks.append(
-                    np.ascontiguousarray(allocations, dtype=np.int64)
-                )
-                cdf_blocks.append(np.ascontiguousarray(cdf, dtype=np.float64))
-            arrays[f"dpk/{digest}"] = keys
-            arrays[f"dpc/{digest}"] = np.asarray(counts, dtype=np.int64)
-            arrays[f"dpa/{digest}"] = np.concatenate(allocation_blocks, axis=0)
-            arrays[f"dpf/{digest}"] = np.concatenate(cdf_blocks)
+                allocation_blocks.append(allocations.ravel())
+                cdf_blocks.append(cdf)
+        arrays.update(
+            dp_digests=np.asarray(digests, dtype=np.str_),
+            dp_widths=np.asarray(widths, dtype=np.int64),
+            dp_key_counts=np.asarray(key_counts, dtype=np.int64),
+            dp_keys=np.asarray(keys, dtype=np.int64).reshape(-1, 2),
+            dp_counts=np.asarray(counts, dtype=np.int64),
+            dp_allocations=_concat(allocation_blocks, np.int64),
+            dp_cdfs=_concat(cdf_blocks, np.float64),
+        )
+        return arrays
+
+    def mark_spilled(self) -> None:
+        """Record a published spill: clear the plan's and evaluators'
+        dirty flags, so an unchanged steady state is not respilled."""
+        self.dirty = False
         for prepared in self._dps.values():
             if getattr(prepared, "cdf_memo_dirty", False):
                 prepared.cdf_memo_dirty = False
-        return arrays
 
     @classmethod
     def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "PlacementPlan":
         """Rebuild a plan from :meth:`export_arrays` output.
 
-        Totals are recomputed from the loaded law vectors (same bits,
-        same sum); unknown formats or malformed names raise ``ValueError``
-        so the store can treat a bad blob as absent.
+        Restored laws, first-visit tables and DP seeds are row views
+        into the loaded columns; totals are recomputed per law row (the
+        same bits, the same sum). Any other format, a missing or extra
+        member, a wrong dtype or shape, or lengths that do not tile
+        their data raise ``ValueError``, so the store can treat a bad
+        blob as absent.
         """
+        names = set(arrays.keys())
+        if "plan_format" not in names:
+            raise ValueError("not a plan blob: no plan_format member")
         version = np.asarray(arrays["plan_format"]).ravel()
-        if version.shape[0] != 1 or int(version[0]) not in _READABLE_FORMATS:
+        if version.shape != (1,) or int(version[0]) != PLAN_FORMAT_VERSION:
             raise ValueError(f"unsupported plan format {version!r}")
-        plan = cls()
-        pending_fv: dict[tuple[int, int], dict[str, np.ndarray]] = {}
-        pending_dp: dict[str, dict[str, np.ndarray]] = {}
-        for name, value in arrays.items():
-            if name == "plan_format":
-                continue
-            kind, *parts = name.split("/")
-            if kind == "law":
-                level, p, q = (int(x) for x in parts)
-                law = np.asarray(value, dtype=np.float64)
-                plan._laws[(level, p, q)] = (law, float(law.sum()))
-            elif kind in ("fvn", "fvp"):
-                prev, vertex = (int(x) for x in parts)
-                pending_fv.setdefault((prev, vertex), {})[kind] = value
-            elif kind in ("dpk", "dpc", "dpa", "dpf"):
-                if len(parts) != 1:
-                    raise ValueError(f"unknown plan array {name!r}")
-                pending_dp.setdefault(parts[0], {})[kind] = value
-            else:
-                raise ValueError(f"unknown plan array {name!r}")
-        for key, pair in pending_fv.items():
-            if "fvn" not in pair or "fvp" not in pair:
-                raise ValueError(f"half a first-visit record for {key}")
-            plan._first_visit[key] = (
-                np.asarray(pair["fvn"]),
-                np.asarray(pair["fvp"], dtype=np.float64),
+        if names != set(PLAN_MEMBERS):
+            raise ValueError(
+                f"plan members differ from format {PLAN_FORMAT_VERSION}: "
+                f"{sorted(names.symmetric_difference(PLAN_MEMBERS))}"
             )
-        for digest, record in pending_dp.items():
-            if set(record) != {"dpk", "dpc", "dpa", "dpf"}:
-                raise ValueError(f"partial dp-seed record for {digest!r}")
-            keys = np.asarray(record["dpk"], dtype=np.int64).reshape(-1, 2)
-            counts = np.asarray(record["dpc"], dtype=np.int64).ravel()
-            allocations = np.asarray(record["dpa"], dtype=np.int64)
-            cdfs = np.asarray(record["dpf"], dtype=np.float64).ravel()
-            if keys.shape[0] != counts.shape[0]:
-                raise ValueError(f"dp-seed key/count mismatch for {digest!r}")
-            total = int(counts.sum())
-            if (
-                np.any(counts <= 0)
-                or allocations.ndim != 2
-                or allocations.shape[0] != total
-                or cdfs.shape[0] != total
-            ):
-                raise ValueError(f"dp-seed block mismatch for {digest!r}")
+        plan = cls()
+
+        law_keys = _column(arrays, "law_keys", np.int64, (None, 3))
+        law_values = np.ascontiguousarray(
+            _column(
+                arrays, "law_values", np.float64, (law_keys.shape[0], None)
+            )
+        )
+        for key, law in zip(law_keys.tolist(), law_values):
+            plan._laws[tuple(key)] = (law, float(law.sum()))
+        if len(plan._laws) != law_keys.shape[0]:
+            raise ValueError("duplicate law keys")
+
+        fv_keys = _column(arrays, "fv_keys", np.int64, (None, 2))
+        fv_lengths = _column(
+            arrays, "fv_lengths", np.int64, (fv_keys.shape[0],)
+        )
+        neighbors = _column(arrays, "fv_neighbors", np.int64, (None,))
+        probabilities = _column(
+            arrays, "fv_probabilities", np.float64, (neighbors.shape[0],)
+        )
+        starts = _offsets(fv_lengths, neighbors.shape[0], "first-visit")
+        for key, lo, hi in zip(fv_keys.tolist(), starts, starts[1:]):
+            plan._first_visit[tuple(key)] = (
+                neighbors[lo:hi],
+                probabilities[lo:hi],
+            )
+        if len(plan._first_visit) != fv_keys.shape[0]:
+            raise ValueError("duplicate first-visit keys")
+
+        digests = np.asarray(arrays["dp_digests"])
+        if digests.dtype.kind != "U" or digests.ndim != 1:
+            raise ValueError(f"bad dp_digests {digests.dtype}{digests.shape}")
+        num_digests = digests.shape[0]
+        widths = _column(arrays, "dp_widths", np.int64, (num_digests,))
+        key_counts = _column(arrays, "dp_key_counts", np.int64, (num_digests,))
+        dp_keys = _column(arrays, "dp_keys", np.int64, (None, 2))
+        counts = _column(arrays, "dp_counts", np.int64, (dp_keys.shape[0],))
+        allocations = _column(arrays, "dp_allocations", np.int64, (None,))
+        cdfs = _column(arrays, "dp_cdfs", np.float64, (None,))
+        if num_digests and int(widths.min()) < 1:
+            raise ValueError("dp-seed width below 1")
+        key_starts = _offsets(key_counts, dp_keys.shape[0], "dp-seed key")
+        row_starts = _offsets(counts, cdfs.shape[0], "dp-seed cdf")
+        key_widths = np.repeat(widths, key_counts)
+        flat_starts = _offsets(
+            counts * key_widths, allocations.shape[0], "dp-seed allocation"
+        )
+        dp_key_list = dp_keys.tolist()
+        for index, digest in enumerate(digests.tolist()):
             entries: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-            offset = 0
-            for (col_index, code), count in zip(keys, counts):
-                stop = offset + int(count)
-                entries[(int(col_index), int(code))] = (
-                    allocations[offset:stop],
-                    cdfs[offset:stop],
+            width = int(widths[index])
+            for k in range(key_starts[index], key_starts[index + 1]):
+                entries[tuple(dp_key_list[k])] = (
+                    allocations[flat_starts[k]:flat_starts[k + 1]].reshape(
+                        -1, width
+                    ),
+                    cdfs[row_starts[k]:row_starts[k + 1]],
                 )
-                offset = stop
             plan._dp_seeds[digest] = entries
+        if len(plan._dp_seeds) != num_digests:
+            raise ValueError("duplicate dp-seed digests")
         return plan

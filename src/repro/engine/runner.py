@@ -451,15 +451,16 @@ class SamplerEngine:
         -- not per phase -- bounds write churn: a warm steady-state draw
         adds nothing and spills nothing. Every touched entry is also
         re-measured (``refresh``) so the RAM tier's byte ledger tracks
-        plan growth -- including DP scratch, which never spills.
+        plan growth -- including DP scratch, which never spills. A plan
+        stays dirty until a spill is actually published, so an I/O
+        failure costs a retry on the next run, not the growth.
         """
         touched, self._touched_plans = self._touched_plans, {}
         store = getattr(self.cache, "store_plan", None)
         refresh = getattr(self.cache, "refresh", None)
         for key, plan in touched.items():
-            if plan.dirty and store is not None:
-                store(key, plan)
-                plan.dirty = False
+            if plan.dirty and store is not None and store(key, plan):
+                plan.mark_spilled()
             if refresh is not None:
                 refresh(key)
 

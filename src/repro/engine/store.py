@@ -278,8 +278,10 @@ class DiskTier:
         if not plan_path.exists():
             return None
         try:
+            # from_arrays reads members by name, so an old-format blob is
+            # rejected on its format stamp without loading the rest.
             with np.load(plan_path) as arrays:
-                return PlacementPlan.from_arrays(dict(arrays.items()))
+                return PlacementPlan.from_arrays(arrays)
         except Exception:
             plan_path.unlink(missing_ok=True)
             return None
@@ -441,14 +443,15 @@ class DiskTier:
         blobs under a meta.json-bearing directory). One atomic
         ``os.replace`` of a single file, so concurrent workers racing on
         the same digest just last-write-win a bit-equal payload. Returns
-        True when the blob was written.
+        True when the blob was written; the caller clears the plan's
+        dirty flags only then, so a failed spill is retried next run.
         """
         digest = key_digest(key)
         entry_dir = self.blobs / digest
         if not (entry_dir / "meta.json").exists():
             return False
         arrays = plan.export_arrays()
-        if len(arrays) <= 1:  # format stamp only: nothing worth spilling
+        if arrays is None:  # an empty plan: nothing worth spilling
             return False
         tmp = self.blobs / (
             f".tmp-plan-{digest}-{os.getpid()}-{time.monotonic_ns()}.npz"
@@ -706,14 +709,15 @@ class TieredPhaseStore:
         self.memory.store(key, numerics)
         self.disk.store(key, numerics)
 
-    def store_plan(self, key: Hashable, plan: PlacementPlan) -> None:
+    def store_plan(self, key: Hashable, plan: PlacementPlan) -> bool:
         """Spill a grown placement plan to the shared disk tier.
 
         The RAM tier needs no write (the plan object already hangs off
         the resident :class:`PhaseNumerics`); the disk blob is what lets
         worker processes and future sessions warm-start classification.
+        Returns True when the blob was published.
         """
-        self.disk.store_plan(key, plan)
+        return self.disk.store_plan(key, plan)
 
     def refresh(self, key: Hashable) -> None:
         """Re-measure the RAM tier's copy of a plan-bearing entry."""

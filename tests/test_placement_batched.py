@@ -23,6 +23,7 @@ Three layers of guarantees, strongest first:
 
 from __future__ import annotations
 
+import io
 import math
 from itertools import product
 
@@ -32,7 +33,7 @@ from scipy import stats as scipy_stats
 
 from repro import graphs
 from repro.core.config import SamplerConfig
-from repro.core.placement_plan import PlacementPlan
+from repro.core.placement_plan import PLAN_MEMBERS, PlacementPlan
 from repro.engine.runner import SamplerEngine
 from repro.graphs.families import build_family
 from repro.matching.permanent import _compositions
@@ -374,13 +375,243 @@ class TestPlanPersistence:
             PlacementPlan.from_arrays(
                 {"plan_format": np.asarray([999], dtype=np.int64)}
             )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError):  # a v2 per-entry blob
             PlacementPlan.from_arrays(
                 {
-                    "plan_format": np.asarray([1], dtype=np.int64),
-                    "fvn/1/2": np.asarray([0, 1]),  # fvp half missing
+                    "plan_format": np.asarray([2], dtype=np.int64),
+                    "fvn/1/2": np.asarray([0, 1]),
+                    "fvp/1/2": np.asarray([0.5, 0.5]),
                 }
             )
+        plan = PlacementPlan()
+        assert plan.export_arrays() is None  # nothing worth spilling
+        plan.law(1, 0, 1, np.full((2, 2), 0.5))
+        plan.first_visit(
+            1, 2, lambda: (np.array([0, 1]), np.array([0.5, 0.5]))
+        )
+        plan._dp_seeds["ab"] = {
+            (0, 5): (np.asarray([[1, 2], [2, 1]]), np.asarray([0.5, 1.0]))
+        }
+        good = plan.export_arrays()
+        assert set(good) == set(PLAN_MEMBERS)
+        assert PlacementPlan.from_arrays(good)._dp_seeds.keys() == {"ab"}
+        int64 = np.int64
+        missing = dict(good)
+        del missing["fv_probabilities"]
+        bad_cases = [
+            missing,
+            dict(good, law_cdfs=np.zeros(3)),
+            dict(good, fv_lengths=np.asarray([3], dtype=int64)),
+            dict(good, fv_lengths=np.asarray([0], dtype=int64)),
+            dict(good, fv_neighbors=np.asarray([0.0, 1.0])),
+            dict(good, fv_keys=np.asarray([1, 2], dtype=int64)),
+            dict(good, law_keys=np.asarray([[1, 0, 1]] * 2, dtype=int64),
+                 law_values=np.ones((2, 2))),
+            dict(good, dp_digests=np.asarray([7])),
+            dict(good, dp_widths=np.asarray([0], dtype=int64)),
+            dict(good, dp_widths=np.asarray([3], dtype=int64)),
+            dict(good, dp_counts=np.asarray([1], dtype=int64)),
+        ]
+        for bad in bad_cases:
+            with pytest.raises(ValueError):
+                PlacementPlan.from_arrays(bad)
+
+    @staticmethod
+    def _npz_round_trip(plan: PlacementPlan) -> PlacementPlan:
+        buffer = io.BytesIO()
+        np.savez(buffer, **plan.export_arrays())
+        buffer.seek(0)
+        with np.load(buffer) as arrays:
+            return PlacementPlan.from_arrays(arrays)
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_npz_round_trip_is_bit_identical(self, backend):
+        """Laws and totals, first-visit pairs and DP seeds survive the
+        columnar blob bit for bit, on either numerics backend."""
+        from repro.api import EnsembleRequest, Session, preset_config
+
+        config = preset_config(
+            "fast-bench", ell=1 << 8, linalg_backend=backend
+        )
+        session = Session(graphs.complete_graph(24), config, seed=0)
+        session.run(EnsembleRequest(count=2, seed=5, jobs=1))
+        plans = [
+            entry.plan
+            for entry in session._cache._entries.values()
+            if entry.plan is not None
+        ]
+        assert plans
+        seeded = 0
+        for plan in plans:
+            restored = self._npz_round_trip(plan)
+            assert list(restored._laws) == list(plan._laws)
+            for key, (law, total) in plan._laws.items():
+                restored_law, restored_total = restored._laws[key]
+                assert restored_law.dtype == law.dtype
+                assert restored_law.tobytes() == law.tobytes()
+                assert restored_total == total
+            assert list(restored._first_visit) == list(plan._first_visit)
+            for key, (neighbors, probabilities) in plan._first_visit.items():
+                got_neighbors, got_probabilities = restored._first_visit[key]
+                assert got_neighbors.dtype == neighbors.dtype
+                assert np.array_equal(got_neighbors, neighbors)
+                assert got_probabilities.tobytes() == probabilities.tobytes()
+            seeds = plan._dp_seed_exports()
+            assert list(restored._dp_seeds) == list(seeds)
+            for digest, entries in seeds.items():
+                got = restored._dp_seeds[digest]
+                assert set(got) == set(entries)
+                for state, (allocations, cdf) in entries.items():
+                    got_allocations, got_cdf = got[state]
+                    assert got_allocations.dtype == allocations.dtype
+                    assert np.array_equal(got_allocations, allocations)
+                    assert got_cdf.tobytes() == cdf.tobytes()
+            seeded += bool(seeds)
+        assert seeded, "some plan must carry DP seeds"
+
+    def test_blob_member_names_do_not_grow_with_the_plan(self, tmp_path):
+        """The blob's zip directory is the same fixed set after one draw
+        and after ten, however many memo entries the plan gained."""
+        from repro.api import EnsembleRequest, Session, preset_config
+        from repro.engine.store import PLAN_BLOB
+
+        def member_sets():
+            sets = {}
+            for blob in tmp_path.glob(f"blobs/*/{PLAN_BLOB}"):
+                with np.load(blob) as arrays:
+                    sets[blob] = (
+                        frozenset(arrays.keys()),
+                        arrays["law_keys"].shape[0],
+                    )
+            return sets
+
+        graph = graphs.complete_graph(16)
+        config = preset_config(
+            "fast-bench", ell=1 << 8, cache_dir=str(tmp_path)
+        )
+        session = Session(graph, config, seed=0)
+        session.run(EnsembleRequest(count=1, seed=1, jobs=1))
+        after_one = member_sets()
+        session.run(EnsembleRequest(count=9, seed=2, jobs=1))
+        after_ten = member_sets()
+        assert after_one and len(after_ten) > len(after_one)
+        assert {names for names, __ in after_one.values()} == {
+            frozenset(PLAN_MEMBERS)
+        }
+        assert {names for names, __ in after_ten.values()} == {
+            frozenset(PLAN_MEMBERS)
+        }
+        # The phase-1 blob is shared by every draw and kept growing.
+        assert any(
+            after_ten[blob][1] > laws
+            for blob, (__, laws) in after_one.items()
+        )
+
+    @pytest.mark.parametrize(
+        "damage", ["legacy-v2", "fv-length", "dp-offset"]
+    )
+    def test_unreadable_plan_blob_loads_cold(self, tmp_path, damage):
+        """An old-format blob, or a packed one whose lengths no longer
+        tile its data, is a cold plan: the file goes, the numerics still
+        hit, and the next run republishes a readable blob."""
+        from repro.api import EnsembleRequest, Session, preset_config
+        from repro.engine.store import PLAN_BLOB, DiskTier, key_digest
+
+        graph = graphs.complete_graph(24)
+        config = preset_config(
+            "fast-bench", ell=1 << 8, cache_dir=str(tmp_path)
+        )
+        session = Session(graph, config, seed=0)
+        request = EnsembleRequest(count=2, seed=5, jobs=1)
+        baseline = session.run(request)
+        # Damage the blob of an entry that carries DP seeds.
+        for key in session._cache.memory._entries:
+            blob = tmp_path / "blobs" / key_digest(key) / PLAN_BLOB
+            if not blob.exists():
+                continue
+            with np.load(blob) as loaded:
+                arrays = {name: loaded[name] for name in loaded.keys()}
+            if arrays["dp_digests"].shape[0]:
+                break
+        else:
+            pytest.fail("no plan blob carries DP seeds")
+        if damage == "legacy-v2":
+            arrays = {
+                "plan_format": np.asarray([2], dtype=np.int64),
+                "law/1/0/1": arrays["law_values"][0],
+                "fvn/0/1": arrays["fv_neighbors"][:2],
+                "fvp/0/1": arrays["fv_probabilities"][:2],
+            }
+        elif damage == "fv-length":
+            arrays["fv_lengths"][0] += 1
+        else:
+            arrays["dp_counts"][-1] -= 1
+        with open(blob, "wb") as handle:
+            np.savez(handle, **arrays)
+
+        disk = DiskTier(tmp_path)
+        numerics = disk.lookup(key)
+        assert numerics is not None and numerics.plan is None
+        assert disk.hits == 1 and disk.misses == 0
+        assert not blob.exists()
+
+        recovered = Session(graph, config, seed=0).run(request)
+        assert recovered.result.trees == baseline.result.trees
+        with np.load(blob) as arrays:
+            assert PlacementPlan.from_arrays(arrays)._laws
+
+    def test_failed_plan_spill_is_retried_next_run(
+        self, tmp_path, monkeypatch
+    ):
+        """A spill that never published keeps the plan dirty, so the
+        next run writes the growth instead of losing it."""
+        import os
+        from pathlib import Path
+
+        from repro.api import EnsembleRequest, Session, preset_config
+        from repro.engine.store import PLAN_BLOB
+
+        real_replace = os.replace
+
+        def failing_replace(src, dst, *args, **kwargs):
+            if Path(dst).name == PLAN_BLOB:
+                raise OSError("injected plan publish failure")
+            return real_replace(src, dst, *args, **kwargs)
+
+        graph = graphs.complete_graph(24)
+        config = preset_config(
+            "fast-bench", ell=1 << 8, cache_dir=str(tmp_path)
+        )
+        session = Session(graph, config, seed=0)
+        request = EnsembleRequest(count=2, seed=5, jobs=1)
+        monkeypatch.setattr(os, "replace", failing_replace)
+        first = session.run(request)
+        monkeypatch.undo()
+        assert not list(tmp_path.glob(f"blobs/*/{PLAN_BLOB}"))
+        assert not list(tmp_path.glob("blobs/.tmp-plan-*"))
+        plans = [
+            entry.plan
+            for entry in session._cache.memory._entries.values()
+            if entry.plan is not None
+        ]
+
+        def evaluators_dirty():
+            return any(
+                getattr(prepared, "cdf_memo_dirty", False)
+                for plan in plans
+                for prepared in plan._dps.values()
+            )
+
+        assert plans and all(plan.dirty for plan in plans)
+        assert evaluators_dirty()
+
+        # A same-seed replay adds nothing new, yet still spills.
+        second = session.run(request)
+        assert second.result.trees == first.result.trees
+        blobs = list(tmp_path.glob(f"blobs/*/{PLAN_BLOB}"))
+        assert len(blobs) == len(plans)
+        assert not any(plan.dirty for plan in plans)
+        assert not evaluators_dirty()
 
     def test_warm_disk_restart_reuses_classification(self, tmp_path):
         """A restarted session loads plans and draws identical trees."""

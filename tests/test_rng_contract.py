@@ -28,7 +28,7 @@ import pytest
 
 from repro import graphs
 from repro.core.config import SamplerConfig
-from repro.core.placement_plan import PlacementPlan
+from repro.core.placement_plan import PLAN_MEMBERS, PlacementPlan
 from repro.engine.runner import SamplerEngine
 from repro.errors import ConfigError
 
@@ -283,11 +283,18 @@ class TestDpSeedPersistence:
         seeded = 0
         for blob in tmp_path.glob(f"blobs/*/{PLAN_BLOB}"):
             with np.load(blob) as arrays:
-                keys = list(arrays.keys())
-            namespaces = {k.split("/", 1)[0] for k in keys if "/" in k}
-            if "dpk" in namespaces:
-                # A complete record: keys, counts, allocations, cdfs.
-                assert {"dpk", "dpc", "dpa", "dpf"} <= namespaces
+                assert set(arrays.keys()) == set(PLAN_MEMBERS)
+                digests = arrays["dp_digests"]
+                key_counts = arrays["dp_key_counts"]
+                keys = arrays["dp_keys"]
+                counts = arrays["dp_counts"]
+                cdfs = arrays["dp_cdfs"]
+            if digests.shape[0]:
+                # A complete record: every digest's keys, every key's
+                # option count, the cdf values those counts tile.
+                assert key_counts.shape == digests.shape
+                assert int(key_counts.sum()) == keys.shape[0]
+                assert int(counts.sum()) == cdfs.shape[0]
                 seeded += 1
         assert seeded > 0, "the hot phase-1 entry must spill DP seeds"
 
@@ -302,12 +309,10 @@ class TestDpSeedPersistence:
         seeded_blobs = 0
         for blob in tmp_path.glob(f"blobs/*/{PLAN_BLOB}"):
             with np.load(blob) as arrays:
-                if not any(k.startswith("dpk/") for k in arrays.keys()):
+                if not arrays["dp_digests"].shape[0]:
                     continue
-                plan = PlacementPlan.from_arrays(
-                    {k: np.asarray(v) for k, v in arrays.items()}
-                )
-            assert plan._dp_seeds, "a dpk-bearing blob must restore seeds"
+                plan = PlacementPlan.from_arrays(arrays)
+            assert plan._dp_seeds, "a seed-bearing blob must restore seeds"
             seeded_blobs += 1
         assert seeded_blobs > 0
 
