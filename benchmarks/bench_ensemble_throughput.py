@@ -1,4 +1,4 @@
-"""E22 (engine): ensemble throughput -- EnsembleEngine vs the seed loop.
+"""E22 (engine): ensemble throughput -- EnsembleEngine vs an uncached loop.
 
 The ROADMAP's hot-path target: ensemble workloads (uniformity audits,
 TV estimation, leverage marginals) draw hundreds of trees from one
@@ -11,9 +11,9 @@ DP, and multi-process fan-out via
 
 Measured here, for n in {32, 64, 128} at 200 draws:
 
-- ``baseline``: the seed's ``sample_many`` loop, reconstructed faithfully
-  (per-draw numeric rebuilds via ``derived_cache=False`` and the original
-  DP via ``matching_method="exact-dp-reference"``), timed over a smaller
+- ``baseline``: a ``sample_many`` loop with per-draw numeric rebuilds
+  (``derived_cache=False``, so every phase also starts from a cold
+  placement plan) at the default matching method, timed over a smaller
   sample and reported as trees/second;
 - ``single``: ``sample_ensemble(200, jobs=1)``;
 - ``multi``: ``sample_ensemble(200, jobs=2)`` (recorded even on 1-CPU
@@ -40,7 +40,7 @@ from repro.engine import EnsembleEngine
 
 NS = [32, 64, 128]
 DRAWS = 200
-BASELINE_DRAWS = 30  # seed loop is slow; rate extrapolates linearly
+BASELINE_DRAWS = 30  # uncached loop is slow; rate extrapolates linearly
 OUTPUT = Path(__file__).resolve().parent / "BENCH_ensemble_throughput.json"
 
 
@@ -49,12 +49,8 @@ def _graph(n: int) -> "graphs.WeightedGraph":
 
 
 def _baseline_rate(n: int) -> float:
-    """Trees/second of the seed-equivalent sample_many Python loop."""
-    config = preset_config(
-        "fast-audit",
-        derived_cache=False,
-        matching_method="exact-dp-reference",
-    )
+    """Trees/second of a sample_many loop with no derived-graph cache."""
+    config = preset_config("fast-audit", derived_cache=False)
     sampler = CongestedCliqueTreeSampler(_graph(n), config)
     rng = np.random.default_rng(77)
     start = time.perf_counter()
@@ -112,11 +108,11 @@ def test_ensemble_throughput(benchmark, report):
             f"{row['speedup_single_vs_baseline']:>7.2f}x"
         )
     lines.append(
-        "shape check: engine >= 2x the seed loop at n=64 (derived-graph "
-        "cache + vectorized placement DP), trees byte-identical across "
+        "shape check: engine >= 2x the uncached loop at n=64 (derived-graph "
+        "cache + warm placement plans), trees byte-identical across "
         f"jobs counts; JSON at {OUTPUT.name}"
     )
-    report("E22 / ensemble throughput (engine vs seed loop)", lines)
+    report("E22 / ensemble throughput (engine vs uncached loop)", lines)
 
     for row in rows:
         assert row["identical_trees_across_jobs"], row["n"]

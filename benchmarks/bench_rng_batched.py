@@ -9,10 +9,8 @@ per DP layer), resolved by ``searchsorted`` against CDFs the plan caches
 alongside its laws, with zero divides on the draw path (uniforms are
 scaled by ``cdf[-1]`` instead).
 
-This bench measures both contracts at ``placement_mode="batched"`` on
-the warm-service path (complete graph, dense numerics, wall-clock-tuned
-``rho = 16`` -- the same scenario as ``bench_placement_batched.py``,
-whose reference-mode numbers are the PR 5 baseline):
+This bench measures both contracts on the warm-service path (complete
+graph, dense numerics, wall-clock-tuned ``rho = 16``):
 
 - **cold** -- first same-seed request over an empty cache dir;
 - **warm per-draw** -- steady-state per-draw seconds after a warm-up.
@@ -82,7 +80,6 @@ def _measure_contract(graph, contract: str, ell: int, cache_dir: str) -> dict:
         ell=ell,
         rho=RHO,
         cache_dir=cache_dir,
-        placement_mode="batched",
         rng_contract=contract,
         derived_cache_entries=1024,
         cache_memory_bytes=2 << 30,

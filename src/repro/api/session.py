@@ -190,13 +190,8 @@ class Session:
             "n": int(self.graph.n),
             "seed": request.seed,
             "linalg_backend": self._linalg_name,
-            # The resolved walk-layer placement mode ("batched" runs the
-            # per-phase PlacementPlan, "reference" the seed-faithful
-            # per-pair path; trees are byte-identical either way).
-            "placement_mode": self.config.placement_mode,
-            # The RNG contract actually in force ("v2" block draws need
-            # a plan, so reference mode always reports "v1").
-            "rng_contract": self.config.effective_rng_contract,
+            # The RNG contract the walk layer drew with.
+            "rng_contract": self.config.rng_contract,
             "seconds": round(time.perf_counter() - start, 6),
             # Cumulative session cache counters, captured after the
             # request so every envelope carries tier hit/miss/spill/

@@ -122,8 +122,6 @@ def _open_session(args: argparse.Namespace, ell: int | None = None) -> Session:
         overrides["linalg_backend"] = args.linalg_backend
     if getattr(args, "cache_dir", None) is not None:
         overrides["cache_dir"] = args.cache_dir
-    if getattr(args, "placement_mode", None) is not None:
-        overrides["placement_mode"] = args.placement_mode
     if getattr(args, "rng_contract", None) is not None:
         overrides["rng_contract"] = args.rng_contract
     config = preset_config("fast-bench", **overrides)
@@ -170,20 +168,6 @@ def _add_cache_dir_flag(parser: argparse.ArgumentParser) -> None:
         help="persistent derived-graph store: spill phase numerics to "
              "DIR and warm-start from entries already there ('auto' = "
              "$REPRO_CACHE_DIR or ~/.cache/repro-spanning-trees)",
-    )
-
-
-def _add_placement_flag(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared walk-layer placement-mode override flag."""
-    parser.add_argument(
-        "--placement-mode",
-        dest="placement_mode",
-        default=None,
-        choices=["batched", "reference"],
-        help="walk-layer placement: 'batched' shares per-phase "
-             "classification and DP builds across draws (default), "
-             "'reference' keeps the seed-faithful per-pair path; trees "
-             "are byte-identical either way",
     )
 
 
@@ -266,7 +250,6 @@ def _make_parser() -> argparse.ArgumentParser:
                         help="machine-readable output")
     _add_linalg_flag(sample)
     _add_cache_dir_flag(sample)
-    _add_placement_flag(sample)
     _add_rng_contract_flag(sample)
 
     rounds = sub.add_parser("rounds", help="compare sampler round bills")
@@ -278,7 +261,6 @@ def _make_parser() -> argparse.ArgumentParser:
                         help="machine-readable output")
     _add_linalg_flag(rounds)
     _add_cache_dir_flag(rounds)
-    _add_placement_flag(rounds)
     _add_rng_contract_flag(rounds)
 
     pagerank = sub.add_parser(
@@ -317,7 +299,6 @@ def _make_parser() -> argparse.ArgumentParser:
                      help="machine-readable output")
     _add_linalg_flag(mst)
     _add_cache_dir_flag(mst)
-    _add_placement_flag(mst)
     _add_rng_contract_flag(mst)
 
     ensemble = sub.add_parser(
@@ -341,7 +322,6 @@ def _make_parser() -> argparse.ArgumentParser:
                           help="machine-readable output")
     _add_linalg_flag(ensemble)
     _add_cache_dir_flag(ensemble)
-    _add_placement_flag(ensemble)
     _add_rng_contract_flag(ensemble)
 
     audit = sub.add_parser(
@@ -360,7 +340,6 @@ def _make_parser() -> argparse.ArgumentParser:
                        help="machine-readable output")
     _add_linalg_flag(audit)
     _add_cache_dir_flag(audit)
-    _add_placement_flag(audit)
     _add_rng_contract_flag(audit)
 
     calibrate = sub.add_parser(

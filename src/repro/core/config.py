@@ -16,11 +16,8 @@ from repro.errors import ConfigError
 
 __all__ = ["SamplerConfig"]
 
-MatchingMethod = Literal[
-    "exact-dp", "exact-dp-reference", "exact-permanent", "mcmc"
-]
+MatchingMethod = Literal["exact-dp", "exact-permanent", "mcmc"]
 FailurePolicy = Literal["extend", "error"]
-PlacementMode = Literal["batched", "reference"]
 RngContract = Literal["v2", "v1"]
 
 
@@ -58,45 +55,25 @@ class SamplerConfig:
     matching_method:
         How the weighted-perfect-matching placement step samples:
         ``"exact-dp"`` (class-compressed exact sampler; default),
-        ``"exact-dp-reference"`` (same law via the original pure-Python
-        DP; baseline for A/B benchmarks),
         ``"exact-permanent"`` (self-reducible Ryser; small instances),
         ``"mcmc"`` (Metropolis chain -- the approximate path of Lemma 4).
     mcmc_steps:
         Proposal count for the MCMC matching sampler (``None``: 10 * B^3).
-    placement_mode:
-        How the walk layer executes midpoint placement. ``"batched"``
-        (default) runs each phase over a
-        :class:`~repro.core.placement_plan.PlacementPlan`: per-pair
-        midpoint laws, contingency-DP forward/backward passes, and
-        first-visit edge distributions are classified once and shared
-        across levels, extension segments, and ensemble draws (and,
-        through the tiered store, across process restarts).
-        ``"reference"`` keeps the seed-faithful per-pair path.
-        Under ``rng_contract="v1"`` the two modes consume the RNG
-        identically over bit-equal probabilities, so they draw
-        byte-identical trees for the same seed -- property-tested across
-        every registered family and both variants; the chi-square
-        uniformity harness additionally pins both modes to the
-        Kirchhoff-exact tree law.
     rng_contract:
-        How the batched walk layer consumes randomness. ``"v2"``
-        (default) is the block-draw contract: per level (and per
-        contingency-DP draw / first-visit group), one uniform vector is
-        drawn from the generator and every pending decision is resolved
-        by ``np.searchsorted`` against CDFs the
-        :class:`~repro.core.placement_plan.PlacementPlan` caches
-        alongside its normalized laws. ``"v1"`` is the per-decision
-        ``Generator.choice(p=...)`` contract of earlier releases; it is
-        byte-compatible with ``placement_mode="reference"`` and with
-        seed fixtures captured before the v2 contract existed. Both
-        contracts sample the identical tree law (chi-square/exact-TV
-        harness) and charge identical round ledgers -- only *which* RNG
-        bits realize a draw differs, so same-seed trees differ across
-        contracts. ``placement_mode="reference"`` always consumes
-        v1-style regardless of this knob (the reference path has no
-        plan to hold CDFs); :attr:`effective_rng_contract` reports the
-        contract actually in force.
+        How the walk layer consumes randomness. Every phase runs over a
+        :class:`~repro.core.placement_plan.PlacementPlan` that memoizes
+        the phase's midpoint laws, contingency-DP builds and first-visit
+        edge distributions. ``"v2"`` (default) is the block-draw
+        contract: per level (and per contingency-DP draw / first-visit
+        group), one uniform vector is drawn from the generator and every
+        pending decision is resolved by ``np.searchsorted`` against CDFs
+        the plan caches alongside its laws. ``"v1"`` is the
+        per-decision ``Generator.choice(p=...)`` contract of earlier
+        releases; it reproduces seed fixtures captured before the v2
+        contract existed. Both contracts sample the identical tree law
+        (chi-square/exact-TV harness) and charge identical round
+        ledgers -- only *which* RNG bits realize a draw differs, so
+        same-seed trees differ across contracts.
     precision_bits:
         Entry precision for matrix power ladders. ``None`` = full float64
         (the exact-arithmetic idealization); an integer activates the
@@ -175,7 +152,6 @@ class SamplerConfig:
     on_failure: FailurePolicy = "extend"
     matching_method: MatchingMethod = "exact-dp"
     mcmc_steps: int | None = None
-    placement_mode: PlacementMode = "batched"
     rng_contract: RngContract = "v2"
     precision_bits: int | None = None
     matmul_backend: Literal["analytic", "simulated-3d"] = "analytic"
@@ -204,15 +180,9 @@ class SamplerConfig:
                 )
         if self.on_failure not in ("extend", "error"):
             raise ConfigError(f"unknown failure policy {self.on_failure!r}")
-        if self.matching_method not in (
-            "exact-dp", "exact-dp-reference", "exact-permanent", "mcmc"
-        ):
+        if self.matching_method not in ("exact-dp", "exact-permanent", "mcmc"):
             raise ConfigError(
                 f"unknown matching method {self.matching_method!r}"
-            )
-        if self.placement_mode not in ("batched", "reference"):
-            raise ConfigError(
-                f"unknown placement mode {self.placement_mode!r}"
             )
         if self.rng_contract not in ("v2", "v1"):
             raise ConfigError(
@@ -280,40 +250,19 @@ class SamplerConfig:
 
     # ------------------------------------------------------------------
 
-    @property
-    def effective_rng_contract(self) -> str:
-        """The RNG contract actually in force for this configuration.
-
-        The v2 block-draw contract lives on the plan-bearing batched
-        path; ``placement_mode="reference"`` always consumes v1-style.
-        """
-        if self.placement_mode == "batched" and self.rng_contract == "v2":
-            return "v2"
-        return "v1"
-
-    def resolve_rho(
-        self,
-        n: int,
-        *,
-        exact_variant: bool = False,
-        variant: str | None = None,
-    ) -> int:
+    def resolve_rho(self, n: int, *, variant: str = "approximate") -> int:
         """The per-phase distinct-vertex quota for an n-vertex input.
 
         An explicit ``rho`` always wins; otherwise the variant's
         registered policy applies (``floor(sqrt(n))`` for the
         approximate sampler, ``floor(n^(1/3))`` for the exact one, the
         full vertex set for the broadcast sampler -- see
-        :mod:`repro.core.variants`). Never below 2. ``exact_variant`` is
-        the legacy boolean spelling, kept for callers predating the
-        registry; ``variant`` takes precedence when both are given.
+        :mod:`repro.core.variants`). Never below 2.
         """
         if self.rho is not None:
             return self.rho
         from repro.core.variants import get_variant
 
-        if variant is None:
-            variant = "exact" if exact_variant else "approximate"
         return get_variant(variant).resolve_rho(n)
 
     def resolve_ell(self, n: int) -> int:

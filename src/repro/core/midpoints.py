@@ -29,8 +29,8 @@ from typing import Mapping
 import numpy as np
 
 from repro.clique.network import CongestedClique
+from repro.core.placement_plan import PlacementPlan
 from repro.errors import PrecisionError, WalkError
-from repro.linalg.backend import matrix_col, matrix_row
 
 __all__ = ["MidpointBank"]
 
@@ -61,12 +61,13 @@ class MidpointBank:
         Optional clique simulator to charge the Algorithm 2 communication
         (count requests + distribution gathering).
     plan / level:
-        Optional :class:`~repro.core.placement_plan.PlacementPlan` and
-        the level's half-spacing exponent. When given, the per-pair law
+        The phase's :class:`~repro.core.placement_plan.PlacementPlan`
+        and the level's half-spacing exponent (its memo key for
+        ``half_power``). Each per-pair law
         ``P^{delta/2}[p, *] * P^{delta/2}[*, q]`` comes from the plan's
-        memo (computed there on first use) instead of being rebuilt per
-        level -- bit-identical vectors, so sampled sequences match the
-        planless path exactly for the same RNG state.
+        memo, computed there on first use, so levels, extension segments
+        and draws that meet a pair again share one vector. Without a
+        plan the bank uses a private one.
     contract:
         RNG contract. ``"v1"`` (default) draws one ``rng.choice`` per
         pair, byte-compatible with the seed implementation. ``"v2"``
@@ -87,10 +88,11 @@ class MidpointBank:
         normalizer_floor: float = 0.0,
         clique: CongestedClique | None = None,
         leader: int = 0,
-        plan=None,
-        level: int | None = None,
+        plan: PlacementPlan | None = None,
+        level: int = 0,
         contract: str = "v1",
     ) -> None:
+        plan = plan or PlacementPlan()
         self.pair_counts = dict(pair_counts)
         self.half_power = half_power
         self._sequences: dict[Pair, np.ndarray] = {}
@@ -127,15 +129,7 @@ class MidpointBank:
             for pair, count in self.pair_counts.items():
                 if count < 0:
                     raise WalkError(f"negative count for pair {pair}")
-                p, q = pair
-                if plan is not None and level is not None:
-                    cdf, total = plan.cdf(level, p, q, half_power)
-                else:
-                    law = matrix_row(half_power, p) * matrix_col(
-                        half_power, q
-                    )
-                    total = float(law.sum())
-                    cdf = np.cumsum(law)
+                cdf, total = plan.cdf(level, *pair, half_power)
                 if total <= normalizer_floor or total <= 0.0:
                     raise PrecisionError(
                         f"midpoint normalizer for pair {pair} is "
@@ -161,22 +155,14 @@ class MidpointBank:
         for pair, count in self.pair_counts.items():
             if count < 0:
                 raise WalkError(f"negative count for pair {pair}")
-            p, q = pair
-            if plan is not None and level is not None:
-                probabilities, total = plan.probabilities(
-                    level, p, q, half_power
-                )
-            else:
-                law = matrix_row(half_power, p) * matrix_col(half_power, q)
-                total = float(law.sum())
-                probabilities = None
+            probabilities, total = plan.probabilities(
+                level, *pair, half_power
+            )
             if total <= normalizer_floor or total <= 0.0:
                 raise PrecisionError(
                     f"midpoint normalizer for pair {pair} is {total:.3e}, "
                     f"below the floor {normalizer_floor:.3e}"
                 )
-            if probabilities is None:
-                probabilities = law / total
             self._sequences[pair] = rng.choice(
                 n, size=count, p=probabilities
             ).astype(np.int64)

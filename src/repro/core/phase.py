@@ -33,15 +33,16 @@ from repro.clique.network import CongestedClique
 from repro.core.config import SamplerConfig
 from repro.core.midpoints import MidpointBank
 from repro.core.placement import place_by_pair_multisets, place_midpoints
-from repro.core.truncation import (
-    LevelView,
-    find_truncation_index,
-    find_truncation_index_fast,
-)
+from repro.core.placement_plan import PlacementPlan
+from repro.core.truncation import LevelView, find_truncation_index_fast
 from repro.errors import PrecisionError, SamplingError
-from repro.linalg.backend import matrix_row
 from repro.linalg.matpow import PowerLadder
-from repro.walks.fill import PartialWalk, _fill_level, _truncate_at_distinct
+from repro.walks.fill import (
+    PartialWalk,
+    _fill_level,
+    _sample_end,
+    _truncate_at_distinct,
+)
 
 __all__ = ["PhaseStats", "run_phase_walk"]
 
@@ -88,8 +89,8 @@ def _segment_fill(
     stats: PhaseStats,
     *,
     exact_placement: bool,
-    plan=None,
-    contract: str = "v1",
+    plan: PlacementPlan,
+    contract: str,
 ) -> list[int]:
     """One distributed truncated fill of nominal length ``ladder.ell``.
 
@@ -101,15 +102,11 @@ def _segment_fill(
     if contract == "v2":
         # Block contract: one uniform against the memoized cumulative
         # end law (extensions revisit start vertices across draws).
-        if plan is not None:
-            end_cdf = plan.end_cdf(start, ladder.power(ell))
-        else:
-            end_cdf = np.cumsum(matrix_row(ladder.power(ell), start))
+        end_cdf = plan.end_cdf(start, ladder.power(ell))
         end = int(end_cdf.searchsorted(rng.random() * end_cdf[-1], "right"))
         end = min(end, n - 1)
     else:
-        end_law = matrix_row(ladder.power(ell), start)
-        end = int(rng.choice(n, p=end_law / end_law.sum()))
+        end = _sample_end(ladder, start, rng)
     if clique is not None:
         # Algorithm 1 step 4: the leader samples W[ell] from its own row.
         clique.charge_step("init/sample-end", 1, 1, total_words=1)
@@ -145,12 +142,9 @@ def _segment_fill(
                 walk = _truncate_at_distinct(walk, rho_seg)
             break
         view = LevelView(walk, bank)
-        if plan is not None:
-            # Batched mode: identical t* and identical probe charges via
-            # the direct scan (the simulator holds every sequence).
-            t_star = find_truncation_index_fast(view, rho_seg, clique=clique)
-        else:
-            t_star = find_truncation_index(view, rho_seg, clique=clique)
+        # The direct scan gives Algorithm 3's binary-search t* and probe
+        # charges exactly (the simulator holds every sequence).
+        t_star = find_truncation_index_fast(view, rho_seg, clique=clique)
         if t_star == 0:
             raise SamplingError("truncation collapsed to the start vertex")
         if exact_placement:
@@ -180,7 +174,7 @@ def run_phase_walk(
     ladder: PowerLadder | None = None,
     exact_placement: bool = False,
     stats: PhaseStats | None = None,
-    plan=None,
+    plan: PlacementPlan | None = None,
     contract: str = "v1",
 ) -> list[int]:
     """Sample a phase walk stopping at its rho_eff-th distinct vertex.
@@ -192,15 +186,17 @@ def run_phase_walk(
     walk as a list of phase-local vertex indices, guaranteed to end at
     the first occurrence of its rho_eff-th distinct vertex.
 
-    ``plan`` optionally carries the phase's
-    :class:`~repro.core.placement_plan.PlacementPlan`
-    (``placement_mode="batched"``): midpoint laws and contingency-DP
-    builds are then served from the plan's memos -- same bits, same RNG
-    consumption, byte-identical walks. ``contract`` selects the RNG
-    contract: ``"v1"`` keeps the per-decision bit-stream of the seed
-    implementation, ``"v2"`` draws uniform blocks resolved against the
-    plan's CDFs -- the identical walk law from different generator bits.
+    ``plan`` is the phase's
+    :class:`~repro.core.placement_plan.PlacementPlan`: midpoint laws,
+    end laws and contingency-DP builds are served from its memos, so
+    the engine passes the plan its cache entry carries and every draw
+    against the phase shares it. Callers without one get a private plan
+    for this walk. ``contract`` selects the RNG contract: ``"v1"`` keeps
+    the per-decision bit-stream of the seed implementation, ``"v2"``
+    draws uniform blocks resolved against the plan's CDFs -- the
+    identical walk law from different generator bits.
     """
+    plan = plan or PlacementPlan()
     if stats is None:
         stats = PhaseStats(subset_size=transition.shape[0], rho_eff=rho_eff)
     if rho_eff < 2:

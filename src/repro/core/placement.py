@@ -28,13 +28,12 @@ import numpy as np
 
 from repro.clique.network import CongestedClique
 from repro.core.midpoints import Pair
+from repro.core.placement_plan import PlacementPlan
 from repro.core.truncation import LevelView
 from repro.errors import SamplingError, WalkError
-from repro.linalg.backend import matrix_col, matrix_row
 from repro.matching.sampler import (
     ClassifiedBipartite,
     expand_table_to_assignment,
-    sample_assignment_by_classes,
     sample_matching_exact,
     sample_matching_mcmc,
 )
@@ -105,8 +104,8 @@ def place_midpoints(
     method: str = "exact-dp",
     mcmc_steps: int | None = None,
     clique: CongestedClique | None = None,
-    plan=None,
-    level: int | None = None,
+    plan: PlacementPlan | None = None,
+    level: int = 0,
     contract: str = "v1",
 ) -> PartialWalk:
     """Sample the placement of the collected multiset (Section 2.1.3).
@@ -121,15 +120,14 @@ def place_midpoints(
     deployment starts cold and needs the Lemma 4 budget; cold-start
     mixing is what the matching-sampler unit tests exercise.)
 
-    ``plan``/``level`` activate the batched engine
-    (:class:`~repro.core.placement_plan.PlacementPlan`): weight columns
-    come from the plan's per-(level, pair) law memo, the position ->
-    column-class assignment uses a hoisted index map instead of repeated
-    list searches, and the exact-DP samplers reuse the plan's prepared
-    forward/backward passes for isomorphic instances. Every cached value
-    is bit-equal to what the per-pair path computes and the RNG is
-    consumed in the same order, so trees are byte-identical either way.
+    ``plan``/``level`` name the phase's
+    :class:`~repro.core.placement_plan.PlacementPlan` and the level's
+    half-spacing exponent: weight columns come from the plan's
+    per-(level, pair) law memo, and the exact-DP sampler reuses the
+    plan's prepared forward/backward passes for isomorphic instances.
+    Without a plan the placement uses a private one.
     """
+    plan = plan or PlacementPlan()
     bank = view.bank
     truncated = view.truncated_pair_counts(t_star)
     t_final = _final_midpoint_position(t_star)
@@ -168,23 +166,14 @@ def place_midpoints(
         col_classes: list[Pair] = sorted(set(pair_for_position.values()))
         col_counts = Counter(pair_for_position.values())
         row_labels = sorted(multiset)
-        # One column per (p, q) class, filled from the backend-format
-        # half power via whole-row/column extraction (works for dense
-        # and CSR alike; entry values match scalar indexing exactly).
+        # One column per (p, q) class: the memoized full law restricted
+        # to the multiset's labels (gather-after-multiply equals the
+        # per-entry products P^{delta/2}[p, x] * P^{delta/2}[x, q]).
         labels_arr = np.asarray(row_labels, dtype=np.intp)
         weights = np.empty((len(row_labels), len(col_classes)))
-        batched = plan is not None and level is not None
         for c, (p, q) in enumerate(col_classes):
-            if batched:
-                # The memoized full law restricted to the multiset's
-                # labels: gather-after-multiply equals the per-pair
-                # multiply-after-gather entry for entry.
-                law, __ = plan.law(level, p, q, half_power)
-                weights[:, c] = law[labels_arr]
-            else:
-                from_p = matrix_row(half_power, p)
-                into_q = matrix_col(half_power, q)
-                weights[:, c] = from_p[labels_arr] * into_q[labels_arr]
+            law, __ = plan.law(level, p, q, half_power)
+            weights[:, c] = law[labels_arr]
         instance = ClassifiedBipartite(
             row_labels=tuple(row_labels),
             row_counts=tuple(multiset[x] for x in row_labels),
@@ -198,7 +187,7 @@ def place_midpoints(
         per_class = _sample_assignment(
             instance, view, positions, pair_for_position, rng,
             method=method, mcmc_steps=mcmc_steps,
-            plan=plan if batched else None, contract=contract,
+            plan=plan, contract=contract,
         )
         # Hand the sampled labels to positions class by class, in
         # chronological order within each class.
@@ -221,8 +210,8 @@ def _sample_assignment(
     *,
     method: str,
     mcmc_steps: int | None,
-    plan=None,
-    contract: str = "v1",
+    plan: PlacementPlan,
+    contract: str,
 ) -> list[list[int]]:
     """Dispatch to the configured matching sampler; returns per-column-class
     label lists (chronological within class)."""
@@ -231,34 +220,23 @@ def _sample_assignment(
         # ~16 midpoints switch to the class DP, which samples the exact
         # same law in polynomial time.
         method = "exact-dp"
-    if method in ("exact-dp", "exact-dp-reference"):
-        implementation = (
-            "reference" if method == "exact-dp-reference" else "auto"
-        )
-        if plan is not None:
-            # Batched engine: the deterministic DP build is shared across
-            # isomorphic instances via the plan; only the sampling pass
-            # (and the uniform within-class expansion) consumes the rng,
-            # in exactly the per-instance order of the planless path.
-            prepared = plan.prepared_dp(instance, implementation)
-            if not prepared.consumes_rng:
-                table = prepared.sample()
-            elif contract == "v2":
-                # Block contract: one uniform vector per table draw,
-                # resolved column by column against the prepared CDFs.
-                table = prepared.sample_block(rng)
-            else:
-                table = prepared.sample(rng)
-            return [
-                [int(x) for x in labels]
-                for labels in expand_table_to_assignment(
-                    instance, table, rng, rng_contract=contract
-                )
-            ]
+    if method == "exact-dp":
+        # The deterministic DP build is shared across isomorphic
+        # instances via the plan; only the sampling pass (and the
+        # uniform within-class expansion) consumes the rng.
+        prepared = plan.prepared_dp(instance)
+        if not prepared.consumes_rng:
+            table = prepared.sample()
+        elif contract == "v2":
+            # Block contract: one uniform vector per table draw,
+            # resolved column by column against the prepared CDFs.
+            table = prepared.sample_block(rng)
+        else:
+            table = prepared.sample(rng)
         return [
             [int(x) for x in labels]
-            for labels in sample_assignment_by_classes(
-                instance, rng, implementation=implementation
+            for labels in expand_table_to_assignment(
+                instance, table, rng, rng_contract=contract
             )
         ]
     # The expanded-matrix samplers need explicit row/column expansions.

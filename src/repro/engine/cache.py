@@ -59,21 +59,13 @@ CACHE_BEHAVIOR_FIELDS = frozenset(
     }
 )
 
-# The full exclusion set: cache sizing/location knobs plus execution-mode
-# knobs that select *how* a result is computed, never its bytes.
-# ``placement_mode`` qualifies because PhaseNumerics is pure subset
-# linear algebra the placement layer only reads -- and because the two
-# modes draw byte-identical trees (property-tested), a batched session
-# may warm-start from a reference session's entries and vice versa.
-# ``rng_contract`` qualifies for the same reason one step further out:
-# it only changes *which generator bits* realize a decision at read
-# time (per-decision choice vs block draws over plan CDFs), never the
-# laws or matrices stored in an entry, so v1 and v2 sessions share
+# The full exclusion set: cache sizing/location knobs plus the RNG
+# contract, which selects *how* a result is drawn, never the numerics.
+# ``rng_contract`` only changes *which generator bits* realize a decision
+# at read time (per-decision choice vs block draws over plan CDFs), never
+# the laws or matrices stored in an entry, so v1 and v2 sessions share
 # numerics entries -- only golden seed fixtures fork across contracts.
-NON_NUMERICS_FIELDS = CACHE_BEHAVIOR_FIELDS | {
-    "placement_mode",
-    "rng_contract",
-}
+NON_NUMERICS_FIELDS = CACHE_BEHAVIOR_FIELDS | {"rng_contract"}
 
 
 def config_fingerprint(config, *, resolved_ell: int, linalg_backend: str) -> str:
@@ -91,9 +83,9 @@ def config_fingerprint(config, *, resolved_ell: int, linalg_backend: str) -> str
 
     The one deliberate carve-out is :data:`NON_NUMERICS_FIELDS`:
     cache location/sizing knobs change which entries are *kept* and
-    ``placement_mode`` changes which code path *reads* them -- never the
-    bytes inside them -- and including them would partition a shared
-    persistent directory into mutually invisible shards.
+    ``rng_contract`` changes which generator bits *read* them -- never
+    the bytes inside them -- and including them would partition a
+    shared persistent directory into mutually invisible shards.
     """
     parts: list[tuple[str, str]] = []
     for field in fields(config):
@@ -132,11 +124,10 @@ class PhaseNumerics:
     ladder_squarings: int
     ladder_entry_words: int | None
     shortcut_squarings: int  # 0 in phase 1 (no Corollary 2 charge)
-    # The phase's batched-placement memo (laws, prepared DPs, first-visit
+    # The phase's placement memo (laws, prepared DPs, first-visit
     # tables; see repro.core.placement_plan). Rides the cache entry so
     # every draw against this subset shares one classification; None
-    # until a batched-mode engine touches the entry, always None in
-    # reference mode.
+    # until an engine first touches the entry.
     plan: object | None = None
 
     def nbytes(self) -> int:

@@ -26,8 +26,7 @@ pickle cleanly. If process spawning is unavailable (restricted sandboxes,
 daemonic parents), the driver degrades to the sequential path with the
 same seeds -- identical results, no failure.
 
-The batched placement engine rides the same payload: ``config`` carries
-``placement_mode``, so every worker builds per-phase
+Every worker builds per-phase
 :class:`~repro.core.placement_plan.PlacementPlan`s of its own -- and
 when the config names a ``cache_dir``, workers both load plans earlier
 processes spilled and spill the plans they grow (atomic per-entry

@@ -142,16 +142,6 @@ class SamplerEngine:
             ).encode()
         )
         self._cache_token = digest.hexdigest()
-        # Batched placement (the default) attaches a PlacementPlan to
-        # every phase's numerics entry; reference mode leaves entries
-        # untouched and runs the seed-faithful per-pair path. Both draw
-        # byte-identical trees, which is why the mode sits outside the
-        # cache fingerprint (NON_NUMERICS_FIELDS).
-        self.placement_mode = self.config.placement_mode
-        # The RNG contract actually in force: "v2" (block draws against
-        # plan CDFs) needs a plan, so reference mode always consumes
-        # v1-style bits regardless of config.rng_contract.
-        self.rng_contract = self.config.effective_rng_contract
         # Plans this run touched, for the end-of-run disk spill:
         # key -> plan (insertion order keeps spills deterministic).
         self._touched_plans: dict = {}
@@ -243,7 +233,7 @@ class SamplerEngine:
         transition = numerics.transition
         order = numerics.order
         index_of = {v: i for i, v in enumerate(order)}
-        plan = numerics.plan if self.placement_mode == "batched" else None
+        plan = numerics.plan
 
         # --- Steps 4-5: distributed truncated walk. ---------------------
         # Broadcast variant: the walk machinery consumes the identical
@@ -265,17 +255,17 @@ class SamplerEngine:
             exact_placement=self.spec.exact_placement,
             stats=stats,
             plan=plan,
-            contract=self.rng_contract,
+            contract=config.rng_contract,
         )
         walk_orig = [order[i] for i in local_walk]
 
         # --- Step 6: first-visit edges via ShortCut(G, S) (Algorithm 4).
         # The into-S weight vector is a function of (G, S) alone; hoist
         # it out of the per-new-vertex loop (same per-row pairwise sums,
-        # so the sampled law is unchanged). With a plan, each (prev, v)
-        # step's whole distribution is additionally memoized across
-        # draws -- the cached arrays are what the cold evaluation
-        # returned, so the edge draw below sees identical probabilities.
+        # so the sampled law is unchanged). Each (prev, v) step's whole
+        # distribution is memoized in the plan across draws -- the cached
+        # arrays are what the cold evaluation returned, so the edge draw
+        # below sees identical probabilities.
         s_mask = np.zeros(n, dtype=bool)
         s_mask[subset] = True
         weight_into_s = graph.weights[:, s_mask].sum(axis=1)
@@ -288,46 +278,33 @@ class SamplerEngine:
                 continue
             seen.add(v)
             steps.append((walk_orig[position - 1], v))
-        if self.rng_contract == "v2" and plan is not None and steps:
-            # Block contract: the phase's first-visit edges share one
-            # uniform vector, each resolved against the memoized
-            # cumulative distribution of its (prev, v) step.
+        # Block contract: the phase's first-visit edges share one uniform
+        # vector, each resolved against the memoized cumulative
+        # distribution of its (prev, v) step.
+        uniforms = None
+        if config.rng_contract == "v2" and steps:
             uniforms = rng.random(len(steps))
-            for (prev, v), uniform in zip(steps, uniforms):
+        for index, (prev, v) in enumerate(steps):
 
-                def _cold_distribution(prev=prev, v=v):
-                    return first_visit_edge_distribution(
-                        graph, subset, shortcut, prev, v,
-                        weight_into_s=weight_into_s,
-                    )
+            def _cold_distribution(prev=prev, v=v):
+                return first_visit_edge_distribution(
+                    graph, subset, shortcut, prev, v,
+                    weight_into_s=weight_into_s,
+                )
 
+            if uniforms is not None:
                 neighbors, cdf = plan.first_visit_cdf(
                     prev, v, _cold_distribution
                 )
-                index = int(cdf.searchsorted(uniform * cdf[-1], "right"))
-                u = int(neighbors[min(index, len(cdf) - 1)])
-                edges.append((u, v))
-                stats.new_vertices.append(v)
-        else:
-            for prev, v in steps:
-
-                def _cold_distribution(prev=prev, v=v):
-                    return first_visit_edge_distribution(
-                        graph, subset, shortcut, prev, v,
-                        weight_into_s=weight_into_s,
-                    )
-
-                if plan is not None:
-                    neighbors, probabilities = plan.first_visit(
-                        prev, v, _cold_distribution
-                    )
-                else:
-                    neighbors, probabilities = _cold_distribution()
-                u = int(
-                    neighbors[int(rng.choice(len(neighbors), p=probabilities))]
+                pick = int(cdf.searchsorted(uniforms[index] * cdf[-1], "right"))
+                pick = min(pick, len(cdf) - 1)
+            else:
+                neighbors, probabilities = plan.first_visit(
+                    prev, v, _cold_distribution
                 )
-                edges.append((u, v))
-                stats.new_vertices.append(v)
+                pick = int(rng.choice(len(neighbors), p=probabilities))
+            edges.append((int(neighbors[pick]), v))
+            stats.new_vertices.append(v)
         if broadcast:
             self._charge_broadcast_phase(ledger, n, stats, len(edges))
         else:
@@ -429,17 +406,14 @@ class SamplerEngine:
         return numerics
 
     def _attach_plan(self, key, numerics: PhaseNumerics) -> None:
-        """Ensure a batched-mode entry carries a placement plan.
+        """Ensure a phase's numerics entry carries a placement plan.
 
         The plan hangs off the cache entry (same lifetime, same key), so
         every engine sharing the entry -- across draws, variants, and
         sessions -- shares one classification. Touched plans are
         remembered for the end-of-run disk spill.
         """
-        if self.placement_mode != "batched":
-            return
-        if numerics.plan is None:
-            numerics.plan = PlacementPlan()
+        numerics.plan = numerics.plan or PlacementPlan()
         if self.cache is not None:
             self._touched_plans[key] = numerics.plan
 

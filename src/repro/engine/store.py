@@ -204,7 +204,6 @@ class DiskTier:
         root: str | os.PathLike,
         *,
         max_bytes: int | None = None,
-        load_plans: bool = True,
     ) -> None:
         if max_bytes is not None and max_bytes < 1:
             raise ConfigError(
@@ -212,10 +211,6 @@ class DiskTier:
             )
         self.root = Path(root)
         self.max_bytes = max_bytes
-        # Reference-mode sessions never read plans; skipping the blob
-        # load spares them the npz materialization on every disk hit
-        # (and keeps dead plan bytes out of their RAM tier).
-        self.load_plans = load_plans
         self.blobs = self.root / "blobs"
         self.blobs.mkdir(parents=True, exist_ok=True)
         self.hits = 0
@@ -260,8 +255,7 @@ class DiskTier:
             self.misses += 1
             self._discard(digest)
             return None
-        if self.load_plans:
-            numerics.plan = self._load_plan(entry_dir)
+        numerics.plan = self._load_plan(entry_dir)
         self.hits += 1
         self._touch(digest)
         self._heal_index(digest, entry_dir)
@@ -758,6 +752,5 @@ def open_phase_store(config) -> DerivedGraphCache | TieredPhaseStore | None:
     disk = DiskTier(
         resolve_cache_root(config.cache_dir),
         max_bytes=config.cache_disk_bytes,
-        load_plans=getattr(config, "placement_mode", "batched") == "batched",
     )
     return TieredPhaseStore(memory, disk)

@@ -866,8 +866,6 @@ def prepare_contingency_dp(
 def restore_prepared_vectorized(
     instance: ClassifiedBipartite,
     entries: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]],
-    *,
-    implementation: str = "auto",
 ):
     """A build-deferred vectorized evaluator seeded from persisted CDFs.
 
@@ -880,13 +878,10 @@ def restore_prepared_vectorized(
     ``sample`` call), which is what makes a restart's first warm draw
     cheap.
     """
-    if implementation not in ("auto", "vectorized"):
+    if _trivial_table(instance) is not None:
         return None
-    if implementation == "auto":
-        if _trivial_table(instance) is not None:
-            return None
-        if instance.size <= _SMALL_INSTANCE_SIZE:
-            return None
+    if instance.size <= _SMALL_INSTANCE_SIZE:
+        return None
     state_space = 1
     for count in instance.row_counts:
         state_space *= int(count) + 1
@@ -930,20 +925,6 @@ def sample_contingency_table(
     if not prepared.consumes_rng:
         return prepared.sample()
     return prepared.sample(np.random.default_rng(rng))
-
-
-def _sample_contingency_table_reference(
-    instance: ClassifiedBipartite, rng: np.random.Generator | None = None
-) -> np.ndarray:
-    """The original pure-Python contingency DP (cross-validation baseline).
-
-    Identical law and option ordering to the vectorized default; kept so
-    tests can A/B the two evaluators and so throughput benchmarks can
-    measure the seed implementation's wall-clock faithfully (the suffix
-    memo is built fresh per call, exactly like the seed's lru_cache).
-    """
-    rng = np.random.default_rng(rng)
-    return _PreparedReference(instance).sample(rng)
 
 
 def _log_allocation_factor(

@@ -141,8 +141,10 @@ def _fill_level(
 
     Under ``contract="v2"`` the level consumes one uniform block (one
     generator invocation for all gaps) and resolves each gap by
-    ``searchsorted`` against its cumulative law; ``"v1"`` keeps the
-    per-gap ``rng.choice`` bit-stream of the sequential reference.
+    ``searchsorted`` against its cumulative law from ``plan`` (the
+    distributed phase's Section 5.2 fallback, which always has one);
+    ``"v1"`` keeps the per-gap ``rng.choice`` bit-stream of the
+    sequential reference, with or without a plan.
     """
     if walk.spacing % 2 != 0:
         raise WalkError(f"cannot halve odd spacing {walk.spacing}")
@@ -150,12 +152,7 @@ def _fill_level(
     if contract == "v2":
         cdfs: list[np.ndarray] = []
         for p, q in pairs:
-            if plan is not None and level is not None:
-                cdf, total = plan.cdf(level, p, q, half_power)
-            else:
-                law = matrix_row(half_power, p) * matrix_col(half_power, q)
-                total = law.sum()
-                cdf = np.cumsum(law)
+            cdf, total = plan.cdf(level, p, q, half_power)
             if total <= 0:
                 raise WalkError(
                     f"no vertex can be the midpoint between {p} and {q}: "
@@ -196,6 +193,18 @@ def _truncate_at_distinct(walk: PartialWalk, rho: int) -> PartialWalk:
     return walk
 
 
+def _sample_end(
+    ladder: PowerLadder, start: int, rng: np.random.Generator
+) -> int:
+    """Draw the walk's end vertex from ``P^ell[start, *]``.
+
+    The row is normalized first: on a precision-truncated ladder
+    (``bits=...``) its entries are rounded and need not sum to 1.
+    """
+    end_law = matrix_row(ladder.power(ladder.ell), start)
+    return int(rng.choice(len(end_law), p=end_law / end_law.sum()))
+
+
 def fill_walk(
     ladder: PowerLadder,
     start: int,
@@ -209,8 +218,7 @@ def fill_walk(
     """
     rng = np.random.default_rng(rng)
     ell = ladder.ell
-    end_distribution = matrix_row(ladder.power(ell), start)
-    end = int(rng.choice(len(end_distribution), p=end_distribution))
+    end = _sample_end(ladder, start, rng)
     walk = PartialWalk(ell, [start, end])
     while not walk.is_complete:
         half = walk.spacing // 2
@@ -267,8 +275,7 @@ def truncated_fill_walk(
         raise WalkError(f"rho must be >= 1, got {rho}")
     rng = np.random.default_rng(rng)
     ell = ladder.ell
-    end_distribution = matrix_row(ladder.power(ell), start)
-    end = int(rng.choice(len(end_distribution), p=end_distribution))
+    end = _sample_end(ladder, start, rng)
     walk = _truncate_at_distinct(PartialWalk(ell, [start, end]), rho)
     while not walk.is_complete:
         half = walk.spacing // 2

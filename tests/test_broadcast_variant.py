@@ -69,27 +69,6 @@ class TestBroadcastDriver:
         assert set(result.rounds_by_category()) == {BROADCAST_BANDWIDTH}
         assert is_spanning_tree(graph, result.tree)
 
-    def test_placement_modes_draw_identical_trees(self):
-        """Byte identity across modes holds on the shared v1 stream
-        (reference mode always runs v1, so that is the comparable cell)."""
-        graph = graphs.complete_graph(8)
-        batched = run_broadcast(
-            graph,
-            config=SamplerConfig(
-                ell=1 << 6, placement_mode="batched", rng_contract="v1"
-            ),
-        )
-        reference = run_broadcast(
-            graph,
-            config=SamplerConfig(
-                ell=1 << 6, placement_mode="reference", rng_contract="v1"
-            ),
-        )
-        assert batched.tree == reference.tree
-        assert (
-            batched.rounds_by_category() == reference.rounds_by_category()
-        )
-
     def test_session_sample_request(self):
         graph = graphs.complete_graph(6)
         session = Session(graph, CONFIG, seed=3)

@@ -241,29 +241,15 @@ class TestCacheDirFlag:
 
 
 class TestPlacementModeFlag:
-    def test_meta_carries_default_mode(self, capsys):
-        assert main(["sample", "--family", "cycle", "--n", "6", "--json",
-                     "--ell", "1024"]) == 0
-        meta = json.loads(capsys.readouterr().out)["meta"]
-        assert meta["placement_mode"] == "batched"
-
-    def test_reference_override_is_byte_identical(self, capsys):
-        """Reference mode always runs the v1 stream, so byte identity
-        with batched holds exactly when batched is pinned to v1 too."""
-        base = ["sample", "--family", "complete", "--n", "9", "--json",
-                "--seed", "4", "--ell", "1024"]
-        assert main(base + ["--rng-contract", "v1"]) == 0
-        batched = json.loads(capsys.readouterr().out)
-        assert main(base + ["--placement-mode", "reference"]) == 0
-        reference = json.loads(capsys.readouterr().out)
-        assert reference["meta"]["placement_mode"] == "reference"
-        assert reference["result"]["tree"] == batched["result"]["tree"]
-        assert reference["result"]["rounds"] == batched["result"]["rounds"]
-
     def test_rejects_unknown_mode(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["sample", "--family", "cycle", "--n", "6",
-                  "--placement-mode", "turbo"])
+        """``--placement-mode`` is retired: argparse rejects the flag
+        with exit status 2 whatever its value."""
+        for value in ("reference", "batched"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["sample", "--family", "cycle", "--n", "6",
+                      "--placement-mode", value])
+            assert excinfo.value.code == 2
+        assert "--placement-mode" in capsys.readouterr().err
 
 
 class TestRngContractFlag:
@@ -272,15 +258,6 @@ class TestRngContractFlag:
                      "--ell", "1024"]) == 0
         meta = json.loads(capsys.readouterr().out)["meta"]
         assert meta["rng_contract"] == "v2"
-
-    def test_reference_mode_reports_effective_v1(self, capsys):
-        """v2 block draws need a plan; reference mode therefore always
-        reports (and runs) the v1 contract even when v2 is requested."""
-        assert main(["sample", "--family", "cycle", "--n", "6", "--json",
-                     "--ell", "1024", "--placement-mode", "reference",
-                     "--rng-contract", "v2"]) == 0
-        meta = json.loads(capsys.readouterr().out)["meta"]
-        assert meta["rng_contract"] == "v1"
 
     def test_rejects_unknown_contract(self, capsys):
         with pytest.raises(SystemExit):

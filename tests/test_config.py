@@ -57,13 +57,13 @@ class TestResolution:
 
     def test_rho_cbrt_for_exact(self):
         config = SamplerConfig()
-        assert config.resolve_rho(64, exact_variant=True) == 4
-        assert config.resolve_rho(1000, exact_variant=True) == 10
+        assert config.resolve_rho(64, variant="exact") == 4
+        assert config.resolve_rho(1000, variant="exact") == 10
 
     def test_rho_never_below_two(self):
         config = SamplerConfig()
         assert config.resolve_rho(2) == 2
-        assert config.resolve_rho(3, exact_variant=True) == 2
+        assert config.resolve_rho(3, variant="exact") == 2
 
     def test_rho_override(self):
         assert SamplerConfig(rho=7).resolve_rho(1000) == 7

@@ -212,10 +212,9 @@ class TestCacheBehavior:
         """Every config field is either fingerprinted or non-numerics.
 
         The exclusion set is cache sizing/location knobs plus
-        placement_mode -- the walk-layer execution mode reads phase
-        numerics but never changes their bytes (and the modes draw
-        byte-identical trees), so batched and reference sessions must
-        share one cache entry per subset.
+        rng_contract -- which generator bits resolve each walk-layer
+        decision, never the bytes of the phase numerics -- so v1 and v2
+        sessions share one cache entry per subset.
         """
         from dataclasses import fields
 
@@ -232,16 +231,28 @@ class TestCacheBehavior:
             else:
                 assert appears, field.name
 
-    def test_placement_mode_shares_cache_entries(self):
-        """Flipping placement_mode may not partition a shared cache."""
+    def test_fingerprint_is_pinned_for_existing_cache_volumes(self):
+        """The fingerprint string keys every persisted entry, so it may
+        only change with a deliberate cache-format break. This value
+        predates the retirement of placement_mode (always excluded from
+        the fingerprint): volumes written before it stay warm."""
         from repro.engine.cache import config_fingerprint
 
-        batched = SamplerConfig(ell=1 << 9)
-        reference = SamplerConfig(ell=1 << 9, placement_mode="reference")
         assert config_fingerprint(
-            batched, resolved_ell=1 << 9, linalg_backend="dense"
-        ) == config_fingerprint(
-            reference, resolved_ell=1 << 9, linalg_backend="dense"
+            SamplerConfig(ell=1 << 9), resolved_ell=512, linalg_backend="dense"
+        ) == (
+            "[('epsilon', '0.001'), ('rho', 'None'), ('ell', '512'), "
+            "('on_failure', \"'extend'\"), "
+            "('matching_method', \"'exact-dp'\"), "
+            "('mcmc_steps', 'None'), ('precision_bits', 'None'), "
+            "('matmul_backend', \"'analytic'\"), "
+            "('linalg_backend', \"'auto'\"), "
+            "('sparse_auto_min_n', '192'), "
+            "('sparse_auto_density', '0.25'), "
+            "('normalizer_floor_exponent', '40.0'), "
+            "('start_vertex', '0'), ('max_extensions', '64'), "
+            "('extra', '[]'), ('resolved_ell', '512'), "
+            "('resolved_linalg', \"'dense'\")]"
         )
 
     def test_byte_budget_evicts_lru(self):

@@ -206,3 +206,32 @@ class TestTruncatedFillWalk:
         ladder = PowerLadder(g.transition_matrix(), 4)
         with pytest.raises(WalkError):
             truncated_fill_walk(ladder, 0, 0, rng)
+
+
+class TestPrecisionTruncatedLadder:
+    """Both sequential fillers accept a Lemma 7 truncated ladder, whose
+    rounded ``P^ell`` rows need not sum to 1 (the end law is normalized
+    before sampling, as the distributed phase already does)."""
+
+    @staticmethod
+    def _ladder() -> PowerLadder:
+        graph = graphs.complete_graph(9)
+        ladder = PowerLadder(graph.transition_matrix(), 16, bits=8)
+        assert abs(float(ladder.power(16)[0].sum()) - 1.0) > 1e-3
+        return ladder
+
+    def test_fill_walk(self):
+        ladder = self._ladder()
+        graph = graphs.complete_graph(9)
+        for seed in range(5):
+            walk = fill_walk(ladder, 0, np.random.default_rng(seed))
+            assert len(walk) == 17 and walk[0] == 0
+            assert all(graph.has_edge(a, b) for a, b in zip(walk, walk[1:]))
+
+    def test_truncated_fill_walk(self):
+        ladder = self._ladder()
+        for seed in range(5):
+            walk = truncated_fill_walk(
+                ladder, 0, 4, np.random.default_rng(seed)
+            )
+            assert walk[0] == 0 and len(set(walk)) <= 4

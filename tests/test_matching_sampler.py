@@ -293,15 +293,30 @@ class TestVectorizedVsReferenceDP:
                 self._instance(), implementation="gpu"
             )
 
-    def test_reference_matching_method_end_to_end(self, rng):
-        """The sampler runs under matching_method='exact-dp-reference'."""
+    def test_reference_matching_method_end_to_end(self, monkeypatch):
+        """The reference DP is no config choice of its own any more
+        (``"exact-dp-reference"`` is rejected), but ``"exact-dp"`` still
+        runs it end to end for small instances."""
         from repro import graphs
         from repro.core import CongestedCliqueTreeSampler, SamplerConfig
+        from repro.errors import ConfigError
         from repro.graphs import is_spanning_tree
+        from repro.matching.sampler import _PreparedReference
 
-        g = graphs.cycle_with_chord(8)
-        config = SamplerConfig(
-            ell=1 << 9, matching_method="exact-dp-reference"
+        with pytest.raises(ConfigError, match="unknown matching method"):
+            SamplerConfig(matching_method="exact-dp-reference")
+        builds = []
+        original = _PreparedReference.__init__
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(_PreparedReference, "__init__", counting_init)
+        g = graphs.complete_graph(16)
+        config = SamplerConfig(ell=1 << 10, matching_method="exact-dp")
+        tree = CongestedCliqueTreeSampler(g, config).sample_tree(
+            np.random.default_rng(0)
         )
-        tree = CongestedCliqueTreeSampler(g, config).sample_tree(rng)
         assert is_spanning_tree(g, tree)
+        assert builds

@@ -1,17 +1,17 @@
-"""Cross-validation pinning the batched placement engine to the reference law.
+"""Cross-validation pinning the plan-bearing placement engine to its laws.
 
 Three layers of guarantees, strongest first:
 
 1. **Byte identity**: for every registered graph family and both sampler
-   variants, ``placement_mode="batched"`` under the v1 RNG contract and
-   ``"reference"`` draw byte-identical trees and identical round ledgers
-   from the same seed (the plan only memoizes deterministic structure
-   and, under v1, consumes the RNG in the reference order). Reference
-   mode itself is pinned to hardcoded seed trees captured before the
-   batched engine existed. The v2 block contract deliberately consumes
-   different bits, so batched+v2 is pinned to its *own* golden trees,
-   regenerated exactly once when the contract shipped (see
-   tests/README.md for the regeneration policy).
+   variants, the v1 RNG contract reproduces hardcoded seed trees
+   captured before the batched engine existed (from the since-retired
+   per-pair reference path), whether each phase runs over a cold private
+   plan or a plan warmed by earlier draws -- and the two bill identical
+   round ledgers. The plan only memoizes deterministic structure, so its
+   warmth never changes which bits a draw consumes. The v2 block
+   contract deliberately consumes different bits, so v2 is pinned to its
+   *own* golden trees, regenerated exactly once when the contract
+   shipped (see tests/README.md for the regeneration policy).
 2. **DP equivalence**: a prepared contingency DP sampled repeatedly
    agrees draw-for-draw with the one-shot ``sample_contingency_table``
    under matched RNG states, for every implementation choice.
@@ -46,9 +46,8 @@ from repro.matching.sampler import (
 
 # Seed trees drawn from the pre-batched-engine code (fast-audit config,
 # family built at n=12 with rng seed 2026, session/request seed 11).
-# placement_mode="reference" must keep producing them byte-for-byte --
-# and because batched mode under rng_contract="v1" consumes the RNG
-# identically, so must it.
+# rng_contract="v1" consumes the RNG exactly as that code did, so it
+# must keep producing them byte-for-byte.
 GOLDEN_SEED_TREES = {
     ("barbell", "approximate"): ((0, 1), (0, 3), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 11), (9, 10), (10, 11)),
     ("bipartite", "approximate"): ((0, 9), (1, 10), (2, 11), (3, 9), (4, 9), (4, 10), (5, 10), (6, 9), (7, 9), (7, 11), (8, 11)),
@@ -75,7 +74,7 @@ GOLDEN_SEED_TREES = {
 }
 
 # Seed trees for the v2 block-draw contract (same instances and seeds as
-# above, placement_mode="batched" + rng_contract="v2"). Regenerated
+# above, rng_contract="v2"). Regenerated
 # exactly once when the v2 contract shipped; any future edit to these
 # values is a contract break and needs the tests/README.md sign-off.
 GOLDEN_SEED_TREES_V2 = {
@@ -104,76 +103,80 @@ GOLDEN_SEED_TREES_V2 = {
 }
 
 
-def _draw(family: str, variant: str, mode: str, contract: str = "v1"):
+def _draw(family: str, variant: str, contract: str, *, warm: bool = False):
+    """One seed-11 draw on the n=12 family instance.
+
+    ``warm=False`` disables the derived-graph cache, so every phase runs
+    over a fresh private plan; ``warm=True`` first spends one draw on
+    another seed so phase 1's shared plan is already populated.
+    """
     graph, __ = build_family(family, 12, np.random.default_rng(2026))
     config = SamplerConfig(
-        ell=1 << 10, placement_mode=mode, rng_contract=contract
+        ell=1 << 10, rng_contract=contract, derived_cache=warm
     )
     engine = SamplerEngine(graph, config, variant=variant)
-    result = engine.run(np.random.default_rng(np.random.SeedSequence(11)))
-    return result
+    if warm:
+        engine.run(np.random.default_rng(5))
+    return engine.run(np.random.default_rng(np.random.SeedSequence(11)))
 
 
 class TestByteIdentity:
-    """Batched+v1 == reference == seed, tree by tree and round by round."""
+    """Cold plan == warm plan == seed, tree by tree and round by round."""
 
     @pytest.mark.parametrize(
         "family,variant", sorted(GOLDEN_SEED_TREES), ids=lambda v: str(v)
     )
     def test_reference_mode_reproduces_seed_trees(self, family, variant):
-        result = _draw(family, variant, "reference")
+        """The seed trees came from the retired reference mode; v1 over
+        cold private plans (no memo carried between phases or draws)
+        must still reproduce them."""
+        result = _draw(family, variant, "v1")
         assert result.tree == GOLDEN_SEED_TREES[(family, variant)]
 
     @pytest.mark.parametrize(
         "family,variant", sorted(GOLDEN_SEED_TREES), ids=lambda v: str(v)
     )
     def test_batched_v1_matches_reference(self, family, variant):
-        batched = _draw(family, variant, "batched", "v1")
-        reference = _draw(family, variant, "reference")
-        assert batched.tree == reference.tree
-        assert batched.rounds == reference.rounds
+        """A plan warmed by an earlier draw reproduces the cold-plan
+        draw: same seed tree, same round bill by category."""
+        warm = _draw(family, variant, "v1", warm=True)
+        cold = _draw(family, variant, "v1")
+        assert warm.tree == cold.tree
+        assert warm.rounds == cold.rounds
         assert (
-            batched.ledger.rounds_by_category()
-            == reference.ledger.rounds_by_category()
+            warm.ledger.rounds_by_category()
+            == cold.ledger.rounds_by_category()
         )
-        # ...and both equal the pinned seed tree.
-        assert batched.tree == GOLDEN_SEED_TREES[(family, variant)]
+        assert warm.tree == GOLDEN_SEED_TREES[(family, variant)]
 
     @pytest.mark.parametrize(
         "family,variant", sorted(GOLDEN_SEED_TREES_V2), ids=lambda v: str(v)
     )
     def test_batched_v2_reproduces_v2_seed_trees(self, family, variant):
-        result = _draw(family, variant, "batched", "v2")
+        result = _draw(family, variant, "v2")
         assert result.tree == GOLDEN_SEED_TREES_V2[(family, variant)]
 
-    def test_batched_matches_reference_across_draw_sequences(self):
-        """Plan reuse across sequential draws never perturbs the stream."""
-        graph = graphs.complete_graph(10)
-        trees = {}
-        for mode in ("batched", "reference"):
-            engine = SamplerEngine(
-                graph,
-                SamplerConfig(
-                    ell=1 << 8, placement_mode=mode, rng_contract="v1"
-                ),
-            )
-            rng = np.random.default_rng(7)
-            trees[mode] = [engine.run(rng).tree for __ in range(8)]
-        assert trees["batched"] == trees["reference"]
-
-    def test_v2_draws_independent_of_plan_warmth(self):
-        """A warm plan must never change which bits a v2 draw consumes:
+    @pytest.mark.parametrize("contract", ["v1", "v2"])
+    @pytest.mark.parametrize("variant", ["approximate", "broadcast"])
+    def test_draws_independent_of_plan_warmth(self, contract, variant):
+        """A warm plan must never change which bits a draw consumes:
         the k-th draw from a long-lived engine equals the k-th draw from
-        a fresh engine fed the identical generator state."""
+        a fresh engine fed the identical generator state, tree and round
+        bill alike."""
         graph = graphs.complete_graph(10)
-        config = SamplerConfig(ell=1 << 8, rng_contract="v2")
-        warm_engine = SamplerEngine(graph, config)
+        config = SamplerConfig(ell=1 << 8, rng_contract=contract)
+
+        def outcome(result):
+            return result.tree, result.ledger.rounds_by_category()
+
+        warm_engine = SamplerEngine(graph, config, variant=variant)
         rng = np.random.default_rng(7)
-        warm = [warm_engine.run(rng).tree for __ in range(6)]
+        warm = [outcome(warm_engine.run(rng)) for __ in range(6)]
         cold = []
         rng = np.random.default_rng(7)
         for __ in range(6):
-            cold.append(SamplerEngine(graph, config).run(rng).tree)
+            engine = SamplerEngine(graph, config, variant=variant)
+            cold.append(outcome(engine.run(rng)))
         assert warm == cold
 
 
@@ -324,9 +327,15 @@ class TestContingencyTableLaw:
         rng = np.random.default_rng(1234)
         plan = PlacementPlan()
         counts: dict[bytes, int] = {}
+        if use_plan:
+            # The plan builds the dispatching evaluator on a miss; seed
+            # its memo with the pinned one so every draw is a plan hit.
+            plan._dps[instance_digest(instance)] = prepare_contingency_dp(
+                instance, implementation=implementation
+            )
         for __ in range(draws):
             if use_plan:
-                prepared = plan.prepared_dp(instance, implementation)
+                prepared = plan.prepared_dp(instance)
                 table = prepared.sample(rng)
             else:
                 table = sample_contingency_table(
@@ -340,7 +349,7 @@ class TestContingencyTableLaw:
         __, p_value = scipy_stats.chisquare(observed, expected)
         assert p_value > 1e-4, (implementation, use_plan, p_value)
         if use_plan:
-            assert plan.dp_hits == draws - 1
+            assert plan.dp_hits == draws
 
 
 class TestPlanPersistence:
@@ -643,50 +652,6 @@ class TestPlanPersistence:
         assert entry is not None and entry.plan is not None
         assert entry.plan.law_hits > 0
 
-    def test_reference_mode_spills_no_plans(self, tmp_path):
-        from repro.api import EnsembleRequest, Session, preset_config
-        from repro.engine.store import PLAN_BLOB
-
-        graph = graphs.complete_graph(16)
-        config = preset_config(
-            "fast-bench",
-            ell=1 << 8,
-            cache_dir=str(tmp_path),
-            placement_mode="reference",
-        )
-        Session(graph, config, seed=0).run(
-            EnsembleRequest(count=2, seed=5, jobs=1)
-        )
-        assert not list(tmp_path.glob(f"blobs/*/{PLAN_BLOB}"))
-
-    def test_reference_mode_never_loads_plan_blobs(self, tmp_path):
-        """A reference session warm-starting from batched spills must not
-        pay for (or retain) plans it can never use."""
-        from repro.api import EnsembleRequest, Session, preset_config
-        from repro.engine.store import PLAN_BLOB
-
-        graph = graphs.complete_graph(16)
-        batched = preset_config(
-            "fast-bench", ell=1 << 8, cache_dir=str(tmp_path)
-        )
-        Session(graph, batched, seed=0).run(
-            EnsembleRequest(count=2, seed=5, jobs=1)
-        )
-        assert list(tmp_path.glob(f"blobs/*/{PLAN_BLOB}"))
-        reference = preset_config(
-            "fast-bench",
-            ell=1 << 8,
-            cache_dir=str(tmp_path),
-            placement_mode="reference",
-        )
-        session = Session(graph, reference, seed=0)
-        session.run(EnsembleRequest(count=1, seed=5, jobs=1))
-        engine = session.engine("approximate")
-        entry = session._cache.lookup(
-            (engine._cache_token, tuple(range(graph.n)))
-        )
-        assert entry is not None and entry.plan is None
-
     def test_plan_memos_evict_lru_when_full(self):
         """A full memo displaces its LRU entry instead of refusing."""
         plan = PlacementPlan(max_laws=2)
@@ -759,25 +724,26 @@ class TestPlanPersistence:
 
 
 class TestSessionSurface:
-    """The resolved mode is visible to API and CLI consumers."""
+    """The retired placement_mode knob fails loudly at every surface."""
 
-    def test_meta_carries_placement_mode(self):
+    def test_meta_reports_contract_not_placement_mode(self):
         from repro.api import SampleRequest, Session, preset_config
 
         graph = graphs.cycle_graph(8)
         response = Session(
-            graph, preset_config("fast-audit"), seed=0
+            graph, preset_config("fast-audit", rng_contract="v1"), seed=0
         ).run(SampleRequest(seed=0))
-        assert response.meta["placement_mode"] == "batched"
-        response = Session(
-            graph,
-            preset_config("fast-audit", placement_mode="reference"),
-            seed=0,
-        ).run(SampleRequest(seed=0))
-        assert response.meta["placement_mode"] == "reference"
+        assert response.meta["rng_contract"] == "v1"
+        assert "placement_mode" not in response.meta
 
     def test_unknown_placement_mode_rejected(self):
+        from repro.api import preset_config
         from repro.errors import ConfigError
 
-        with pytest.raises(ConfigError, match="placement mode"):
-            SamplerConfig(placement_mode="turbo")
+        for value in ("reference", "batched"):
+            with pytest.raises(
+                ConfigError, match=r"unknown config field\(s\).*placement_mode"
+            ):
+                preset_config("fast-audit", placement_mode=value)
+        with pytest.raises(TypeError):
+            SamplerConfig(placement_mode="reference")

@@ -8,13 +8,13 @@ Covers the failure surfaces the batched rewrite must preserve:
 - degenerate single-class instances take the closed-form path (no
   randomness) and still reject infeasible weights;
 - the ``_DP_STATE_BUDGET`` guard falls back to the Appendix 5.3
-  per-pair-multiset placement -- same law, tested end to end in both
-  placement modes (previously untested);
+  per-pair-multiset placement -- same law, tested end to end under both
+  RNG contracts (previously untested);
 - the int64 mixed-radix overflow guard in the vectorized DP falls back
   to the reference recursion (previously untested);
 - the Section 5.2 precision floor still aborts into the brute-force
-  sequential fill identically in both modes (exercising the plan-aware
-  ``_fill_level`` path).
+  sequential fill identically over cold and warm plans (exercising the
+  plan-aware ``_fill_level`` path).
 """
 
 from __future__ import annotations
@@ -137,13 +137,14 @@ class TestDegenerateSingleClassInstances:
         with pytest.raises(MatchingError, match="permanent is zero"):
             sample_contingency_table(instance, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("mode", ["batched", "reference"])
-    def test_degenerate_single_pair_phase_end_to_end(self, mode):
+    @pytest.mark.parametrize("contract", ["v1", "v2"])
+    def test_degenerate_single_pair_phase_end_to_end(self, contract):
         """A 2-path's phases put every midpoint position in one pair
-        class -- the trivial-table path end to end, in both modes."""
+        class -- the trivial-table path end to end, under both
+        contracts."""
         graph = graphs.path_graph(2)
         engine = SamplerEngine(
-            graph, SamplerConfig(ell=1 << 4, placement_mode=mode)
+            graph, SamplerConfig(ell=1 << 4, rng_contract=contract)
         )
         result = engine.run(np.random.default_rng(0))
         assert is_spanning_tree(graph, result.tree)
@@ -159,17 +160,17 @@ class TestStateBudgetFallback:
         estimate = _dp_cost_estimate(huge, [1, 3, 5])
         assert estimate > 1e18  # saturated, not overflowed
 
-    @pytest.mark.parametrize("mode", ["batched", "reference"])
-    def test_budget_fallback_draws_valid_trees(self, mode, monkeypatch):
+    @pytest.mark.parametrize("contract", ["v1", "v2"])
+    def test_budget_fallback_draws_valid_trees(self, contract, monkeypatch):
         """With the budget forced to 1 every placement takes the
-        Appendix 5.3 per-pair path; trees stay valid and both modes
-        agree (the fallback sits before any plan involvement)."""
+        Appendix 5.3 per-pair path; trees stay valid under both
+        contracts (the fallback sits before any plan involvement)."""
         import repro.core.placement as placement
 
         monkeypatch.setattr(placement, "_DP_STATE_BUDGET", 1)
         graph = graphs.complete_graph(8)
         engine = SamplerEngine(
-            graph, SamplerConfig(ell=1 << 6, placement_mode=mode)
+            graph, SamplerConfig(ell=1 << 6, rng_contract=contract)
         )
         rng = np.random.default_rng(5)
         trees = [engine.run(rng).tree for __ in range(4)]
@@ -226,33 +227,32 @@ class TestRadixOverflowFallback:
 
 
 class TestPrecisionFloorFallback:
-    @pytest.mark.parametrize("mode", ["batched", "reference"])
-    def test_brute_force_fallback_matches_across_modes(self, mode):
+    def test_brute_force_fallback_matches_across_modes(self):
         """An absurd normalizer floor forces the Section 5.2 brute-force
-        sequential fill (the plan-aware _fill_level path); both modes
-        must still draw the same valid trees. Pinned to the v1 contract:
-        cross-mode byte identity is exactly the v1 guarantee (v2 block
-        draws consume different bits by design)."""
+        sequential fill (the plan-aware _fill_level path). A cold
+        private plan per phase (cache off) and a plan warmed by earlier
+        draws must still draw the same valid tree. Pinned to the v1
+        contract, whose fallback rerun consumes the generator where the
+        aborted level left it."""
         graph = graphs.complete_graph(6)
-        config = SamplerConfig(
-            ell=1 << 6,
-            placement_mode=mode,
-            rng_contract="v1",
-            normalizer_floor_exponent=0.001,  # floor ~ 1: always trips
-        )
-        engine = SamplerEngine(graph, config)
-        result = engine.run(np.random.default_rng(3))
-        assert is_spanning_tree(graph, result.tree)
-        assert sum(
-            stats.brute_force_fallbacks for stats in result.phase_stats
-        ) > 0
-        if not hasattr(self, "_trees"):
-            type(self)._trees = {}
-        type(self)._trees[mode] = result.tree
-        if len(type(self)._trees) == 2:
-            assert (
-                type(self)._trees["batched"] == type(self)._trees["reference"]
+        trees = {}
+        for warm in (False, True):
+            config = SamplerConfig(
+                ell=1 << 6,
+                rng_contract="v1",
+                derived_cache=warm,
+                normalizer_floor_exponent=0.001,  # floor ~ 1: always trips
             )
+            engine = SamplerEngine(graph, config)
+            if warm:
+                engine.run(np.random.default_rng(9))
+            result = engine.run(np.random.default_rng(3))
+            assert is_spanning_tree(graph, result.tree)
+            assert sum(
+                stats.brute_force_fallbacks for stats in result.phase_stats
+            ) > 0
+            trees[warm] = result.tree
+        assert trees[False] == trees[True]
 
     def test_brute_force_fallback_under_v2(self):
         """The same floor trips under the v2 block contract: the
@@ -262,7 +262,6 @@ class TestPrecisionFloorFallback:
         graph = graphs.complete_graph(6)
         config = SamplerConfig(
             ell=1 << 6,
-            placement_mode="batched",
             rng_contract="v2",
             normalizer_floor_exponent=0.001,
         )

@@ -60,17 +60,10 @@ class CountingGenerator(np.random.Generator):
 class TestConfigSurface:
     def test_default_is_v2(self):
         assert SamplerConfig().rng_contract == "v2"
-        assert SamplerConfig().effective_rng_contract == "v2"
-
-    def test_reference_mode_downgrades_to_v1(self):
-        """v2 block draws hang off the PlacementPlan; reference mode has
-        no plan, so its effective contract is always v1."""
-        config = SamplerConfig(placement_mode="reference", rng_contract="v2")
-        assert config.effective_rng_contract == "v1"
 
     def test_explicit_v1_stays_v1(self):
         config = SamplerConfig(rng_contract="v1")
-        assert config.effective_rng_contract == "v1"
+        assert config.rng_contract == "v1"
 
     def test_unknown_contract_rejected(self):
         with pytest.raises(ConfigError, match="rng contract"):
@@ -79,7 +72,7 @@ class TestConfigSurface:
     def test_contract_excluded_from_numerics_fingerprint(self):
         """v1 and v2 sessions share numerics cache entries: the contract
         changes which bits the walk layer consumes, never the derived
-        graphs (same exclusion set as placement_mode)."""
+        graphs."""
         from repro.engine.cache import NON_NUMERICS_FIELDS, config_fingerprint
 
         assert "rng_contract" in NON_NUMERICS_FIELDS
@@ -148,7 +141,7 @@ class TestV2Determinism:
         config = preset_config(
             "fast-bench", ell=1 << 8, cache_dir=str(tmp_path)
         )
-        assert config.effective_rng_contract == "v2"
+        assert config.rng_contract == "v2"
         parallel = Session(graph, config, seed=0).run(
             EnsembleRequest(count=4, seed=5, jobs=2)
         )

@@ -85,10 +85,14 @@ class TestEnvelopeValidation:
         with pytest.raises(ServiceError, match="unknown envelope field"):
             parse_service_envelope(envelope(bogus=1), LIMITS)
 
-    @pytest.mark.parametrize("field", ["schur_method", "shortcut_method"])
+    @pytest.mark.parametrize(
+        "field", ["schur_method", "shortcut_method", "placement_mode"]
+    )
     def test_retired_config_fields_rejected(self, field):
         # Both derived-graph method knobs were retired when ShortCut and
-        # Schur moved onto one kernel; old clients get the usual 400.
+        # Schur moved onto one kernel, and placement_mode when every
+        # phase came to run over a placement plan; old clients get the
+        # usual 400.
         with pytest.raises(ServiceError, match="unknown config field"):
             parse_service_envelope(envelope(config={field: "x"}), LIMITS)
 

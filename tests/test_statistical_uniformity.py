@@ -3,8 +3,8 @@
 The placement rewrite (PlacementPlan + prepared contingency DPs) changes
 the one component whose correctness is *distributional*, so these tests
 draw real ensembles and compare the empirical tree distribution against
-Kirchhoff-exact probabilities -- for both ``placement_mode`` settings,
-both RNG contracts, and both sampler variants. (The v2 block contract
+Kirchhoff-exact probabilities -- for both RNG contracts and both sampler
+variants. (The v2 block contract
 re-derives every decision from inverse-CDF resolution, so it is gated on
 this harness rather than on byte identity with v1 -- the two contracts
 sample the same laws from different bits.) Thresholds follow the policy
@@ -13,14 +13,14 @@ documented in
 noise bound).
 
 The Broadcast CC variant gets its own class: exact-law cells on three
-enumerable families for every (mode, contract) cell, two-sample
+enumerable families under both contracts, two-sample
 homogeneity against the unicast variants, and oracle cross-validation
 (Wilson / Aldous-Broder from :mod:`repro.walks.sequential`) on a wheel
 graph past practical enumeration -- the two-sample extension of the
 harness documented in ``tests/statutil.py``.
 
 Fast cases run in tier-1; the heavier sweeps (K5's 125-tree support,
-weighted chord cycles, full mode x variant cross) carry the ``slow``
+weighted chord cycles, full contract x variant cross) carry the ``slow``
 marker and are additionally gated on ``REPRO_SLOW_TESTS=1`` -- the
 nightly CI job sets it, so tier-1 wall-clock stays bounded.
 """
@@ -53,16 +53,15 @@ run_slow = pytest.mark.skipif(
 )
 
 
-# The meaningful (placement_mode, rng_contract) cells: reference mode
-# always runs the v1 stream (no plan to hang block CDFs off), so the
-# grid is three cells, not four.
-MODE_CONTRACT = [("batched", "v2"), ("batched", "v1"), ("reference", "v1")]
+# One cell per RNG contract. The ids keep the "batched-" prefix of the
+# plan-bearing engine every cell runs, so test ids stay stable.
+CONTRACTS = pytest.mark.parametrize(
+    "contract", ["v2", "v1"], ids=["batched-v2", "batched-v1"]
+)
 
 
-def _config(mode: str, contract: str = "v2") -> SamplerConfig:
-    return SamplerConfig(
-        ell=FAST_ELL, placement_mode=mode, rng_contract=contract
-    )
+def _config(contract: str = "v2") -> SamplerConfig:
+    return SamplerConfig(ell=FAST_ELL, rng_contract=contract)
 
 
 def weighted_square() -> "graphs.WeightedGraph":
@@ -73,51 +72,51 @@ def weighted_square() -> "graphs.WeightedGraph":
 
 
 class TestTier1Uniformity:
-    """Fast cases: small supports, ~1-2k draws, every mode."""
+    """Fast cases: small supports, ~1-2k draws, both contracts."""
 
-    @pytest.mark.parametrize("mode,contract", MODE_CONTRACT)
-    def test_k4_approximate(self, mode, contract):
+    @CONTRACTS
+    def test_k4_approximate(self, contract):
         graph = graphs.complete_graph(4)  # 16 spanning trees
         trees = draw_trees(
-            graph, 2000, config=_config(mode, contract),
+            graph, 2000, config=_config(contract),
             variant="approximate", seed=41,
         )
         assert_matches_tree_law(
-            graph, trees, label=f"k4/approx/{mode}/{contract}"
+            graph, trees, label=f"k4/approx/{contract}"
         )
 
-    @pytest.mark.parametrize("mode,contract", MODE_CONTRACT)
-    def test_k4_exact_variant(self, mode, contract):
+    @CONTRACTS
+    def test_k4_exact_variant(self, contract):
         graph = graphs.complete_graph(4)
         trees = draw_trees(
-            graph, 1000, config=_config(mode, contract), variant="exact",
+            graph, 1000, config=_config(contract), variant="exact",
             seed=42,
         )
         assert_matches_tree_law(
-            graph, trees, label=f"k4/exact/{mode}/{contract}"
+            graph, trees, label=f"k4/exact/{contract}"
         )
 
-    @pytest.mark.parametrize("mode,contract", MODE_CONTRACT)
-    def test_cycle4(self, mode, contract):
+    @CONTRACTS
+    def test_cycle4(self, contract):
         graph = graphs.cycle_graph(4)  # 4 spanning trees
         trees = draw_trees(
-            graph, 1200, config=_config(mode, contract),
+            graph, 1200, config=_config(contract),
             variant="approximate", seed=43,
         )
         assert_matches_tree_law(
-            graph, trees, label=f"cycle4/{mode}/{contract}"
+            graph, trees, label=f"cycle4/{contract}"
         )
 
-    @pytest.mark.parametrize("mode,contract", MODE_CONTRACT)
-    def test_weighted_square(self, mode, contract):
+    @CONTRACTS
+    def test_weighted_square(self, contract):
         """Weighted input: the law is weight-proportional, not uniform."""
         graph = weighted_square()
         trees = draw_trees(
-            graph, 1500, config=_config(mode, contract),
+            graph, 1500, config=_config(contract),
             variant="approximate", seed=44,
         )
         assert_matches_tree_law(
-            graph, trees, label=f"wsquare/{mode}/{contract}"
+            graph, trees, label=f"wsquare/{contract}"
         )
 
 
@@ -136,21 +135,21 @@ class TestBroadcastUniformity:
     through the entire engine stack (registry dispatch, phase numerics,
     placement plans, broadcast charging), so the harness gates the
     wiring, not just the math: exact-law cells on three enumerable
-    families x every (mode, contract) cell, plus two-sample
+    families x both contracts, plus two-sample
     cross-validation against the unicast variants and the sequential
     oracles on a wheel past practical enumeration.
     """
 
-    @pytest.mark.parametrize("mode,contract", MODE_CONTRACT)
+    @CONTRACTS
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_broadcast_matches_exact_law(self, family, mode, contract):
+    def test_broadcast_matches_exact_law(self, family, contract):
         graph = FAMILIES[family]()
         trees = draw_trees(
-            graph, 1500, config=_config(mode, contract),
+            graph, 1500, config=_config(contract),
             variant="broadcast", seed=48,
         )
         assert_matches_tree_law(
-            graph, trees, label=f"{family}/broadcast/{mode}/{contract}"
+            graph, trees, label=f"{family}/broadcast/{contract}"
         )
 
     @pytest.mark.parametrize("variant", ["approximate", "exact"])
@@ -158,11 +157,11 @@ class TestBroadcastUniformity:
         """Cross-variant two-sample gate on K4's 16-tree support."""
         graph = graphs.complete_graph(4)
         broadcast = draw_trees(
-            graph, 1500, config=_config("batched"), variant="broadcast",
+            graph, 1500, config=_config(), variant="broadcast",
             seed=53,
         )
         unicast = draw_trees(
-            graph, 1500, config=_config("batched"), variant=variant,
+            graph, 1500, config=_config(), variant=variant,
             seed=54,
         )
         assert_same_tree_law(
@@ -178,9 +177,7 @@ class TestBroadcastUniformity:
         64-step walk or the Las-Vegas extension cap can trip.
         """
         graph, _ = build_family("wheel", 10, np.random.default_rng(3))
-        config = SamplerConfig(
-            ell=1 << 8, placement_mode="batched", rng_contract=contract
-        )
+        config = SamplerConfig(ell=1 << 8, rng_contract=contract)
         sampled = draw_trees(
             graph, 300, config=config, variant="broadcast", seed=49,
         )
@@ -193,7 +190,7 @@ class TestBroadcastUniformity:
         """The unicast default against the other sequential oracle."""
         graph, _ = build_family("wheel", 10, np.random.default_rng(3))
         sampled = draw_trees(
-            graph, 300, config=_config("batched"), variant="approximate",
+            graph, 300, config=_config(), variant="approximate",
             seed=51,
         )
         oracle = draw_oracle_trees(
@@ -207,23 +204,24 @@ class TestBroadcastUniformity:
 @run_slow
 @pytest.mark.slow
 class TestNightlyUniformity:
-    """Heavy sweeps: larger supports and the full mode x variant cross."""
+    """Heavy sweeps: larger supports and the full contract x variant
+    cross."""
 
-    @pytest.mark.parametrize("mode,contract", MODE_CONTRACT)
+    @CONTRACTS
     @pytest.mark.parametrize("variant", ["approximate", "exact"])
-    def test_k5(self, mode, contract, variant):
+    def test_k5(self, contract, variant):
         graph = graphs.complete_graph(5)  # 125 spanning trees
         trees = draw_trees(
-            graph, 6000, config=_config(mode, contract), variant=variant,
+            graph, 6000, config=_config(contract), variant=variant,
             seed=45,
         )
         assert_matches_tree_law(
-            graph, trees, label=f"k5/{variant}/{mode}/{contract}"
+            graph, trees, label=f"k5/{variant}/{contract}"
         )
 
-    @pytest.mark.parametrize("mode,contract", MODE_CONTRACT)
+    @CONTRACTS
     @pytest.mark.parametrize("variant", ["approximate", "exact"])
-    def test_weighted_chord_cycle(self, mode, contract, variant):
+    def test_weighted_chord_cycle(self, contract, variant):
         graph = graphs.WeightedGraph.from_edges(
             5,
             [
@@ -232,26 +230,9 @@ class TestNightlyUniformity:
             ],
         )
         trees = draw_trees(
-            graph, 5000, config=_config(mode, contract), variant=variant,
+            graph, 5000, config=_config(contract), variant=variant,
             seed=46,
         )
         assert_matches_tree_law(
-            graph, trees, label=f"wchord/{variant}/{mode}/{contract}"
-        )
-
-    @pytest.mark.parametrize("mode,contract", MODE_CONTRACT)
-    def test_k4_reference_dp_method(self, mode, contract):
-        """The exact-dp-reference matching method under every cell."""
-        graph = graphs.complete_graph(4)
-        config = SamplerConfig(
-            ell=FAST_ELL,
-            placement_mode=mode,
-            rng_contract=contract,
-            matching_method="exact-dp-reference",
-        )
-        trees = draw_trees(
-            graph, 2000, config=config, variant="approximate", seed=47
-        )
-        assert_matches_tree_law(
-            graph, trees, label=f"k4/refdp/{mode}/{contract}"
+            graph, trees, label=f"wchord/{variant}/{contract}"
         )

@@ -95,8 +95,8 @@ class TestRhoPolicies:
         assert config.resolve_rho(64, variant="broadcast") == 64
         # Explicit rho always wins over the policy.
         assert SamplerConfig(rho=5).resolve_rho(64, variant="broadcast") == 5
-        # The legacy boolean keeps its meaning when no variant is named.
-        assert config.resolve_rho(64, exact_variant=True) == 4
+        # No variant named means the approximate policy.
+        assert config.resolve_rho(64) == 8
         with pytest.raises(ConfigError, match="unknown variant"):
             config.resolve_rho(64, variant="warp")
 
