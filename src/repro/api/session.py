@@ -190,8 +190,10 @@ class Session:
             "n": int(self.graph.n),
             "seed": request.seed,
             "linalg_backend": self._linalg_name,
-            # The RNG contract the walk layer drew with.
-            "rng_contract": self.config.rng_contract,
+            # The walk layer's one RNG contract (block draws against
+            # plan CDFs), still reported so the response schema is
+            # unchanged.
+            "rng_contract": "v2",
             "seconds": round(time.perf_counter() - start, 6),
             # Cumulative session cache counters, captured after the
             # request so every envelope carries tier hit/miss/spill/
@@ -321,34 +323,26 @@ class Session:
 
     def _run_roundbill(self, request: RoundBillRequest, seed) -> tuple:
         from repro.core.fastcover import sample_tree_fast_cover
-        from repro.core.variants import engine_variant_names
+        from repro.core.variants import get_variant, sample_variant_names
 
         rng = np.random.default_rng(seed)
-        # One run per engine-driven registry variant, plus the
-        # standalone fast-cover driver. Pre-registry variants (and
-        # fast-cover) consume the RNG stream in their historical order,
-        # with newer registry variants appended after -- so a pinned
-        # seed's approximate/exact/fastcover columns are byte-identical
-        # to what pre-broadcast releases reported. A variant the
-        # session's config cannot realize (e.g. broadcast under the
-        # unicast simulated-3d matmul protocol) keeps its zero-valued
-        # default columns rather than failing the whole bill.
-        legacy = engine_variant_names()[:2]
-        ordered = legacy + tuple(
-            name for name in engine_variant_names() if name not in legacy
-        )
+        # One run per registry variant, in registry order, all from one
+        # stream: engine-driven variants through their engines, the
+        # standalone fast-cover driver directly. A variant the session's
+        # config cannot realize (e.g. broadcast under the unicast
+        # simulated-3d matmul protocol) keeps its zero-valued default
+        # columns rather than failing the whole bill.
         runs = {}
         fast = None
-        for name in ordered:
-            if fast is None and name not in legacy:
+        for name in sample_variant_names():
+            if not get_variant(name).engine_driven:
                 fast = sample_tree_fast_cover(self.graph, rng)
+                continue
             try:
                 engine = self.engine(name)
             except ConfigError:
                 continue
             runs[name] = engine.run(rng)
-        if fast is None:
-            fast = sample_tree_fast_cover(self.graph, rng)
         report = RoundBillReport(
             approximate_rounds=int(runs["approximate"].rounds),
             approximate_phases=int(runs["approximate"].phases),
@@ -374,7 +368,7 @@ class Session:
         recipe = spec.resolve_recipe(request.recipe)
         # Weights depend only on (graph edge order, mode, seed) -- never
         # on the numerics config -- so pinned-seed instances are
-        # host-invariant and identical under either RNG contract.
+        # host-invariant and independent of the walk layer.
         weights = resolve_weights(self.graph, request.weights, seed)
         result = run_mst(self.graph, recipe=recipe, weights=weights)
         oracle_forest, oracle_weight = kruskal_forest(self.graph, weights)

@@ -122,8 +122,6 @@ def _open_session(args: argparse.Namespace, ell: int | None = None) -> Session:
         overrides["linalg_backend"] = args.linalg_backend
     if getattr(args, "cache_dir", None) is not None:
         overrides["cache_dir"] = args.cache_dir
-    if getattr(args, "rng_contract", None) is not None:
-        overrides["rng_contract"] = args.rng_contract
     config = preset_config("fast-bench", **overrides)
     return Session(graph, config, seed=args.seed, meta=meta)
 
@@ -158,30 +156,30 @@ def _add_linalg_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_cache_dir_flag(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared persistent-cache-directory flag."""
+_STORE_DIR = (
+    "persistent derived-graph store: spill phase numerics to DIR and "
+    "warm-start from entries already there"
+)
+
+
+def _add_cache_dir_flag(
+    parser: argparse.ArgumentParser,
+    *,
+    default: str | None,
+    what: str = _STORE_DIR,
+) -> None:
+    """Attach the shared ``--cache-dir DIR`` flag.
+
+    ``what`` says what DIR is for this subcommand; the help text adds
+    the ``'auto'`` resolution and the default.
+    """
+    auto = "'auto' = $REPRO_CACHE_DIR or ~/.cache/repro-spanning-trees"
     parser.add_argument(
         "--cache-dir",
         dest="cache_dir",
-        default=None,
+        default=default,
         metavar="DIR",
-        help="persistent derived-graph store: spill phase numerics to "
-             "DIR and warm-start from entries already there ('auto' = "
-             "$REPRO_CACHE_DIR or ~/.cache/repro-spanning-trees)",
-    )
-
-
-def _add_rng_contract_flag(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared RNG-contract override flag."""
-    parser.add_argument(
-        "--rng-contract",
-        dest="rng_contract",
-        default=None,
-        choices=["v2", "v1"],
-        help="randomness contract: 'v2' resolves decisions by block "
-             "draws against plan CDFs (default; fastest), 'v1' keeps "
-             "the per-decision stream that reproduces pre-v2 seeded "
-             "trees; both sample the identical distribution",
+        help=f"{what} ({auto}; default: {default or 'none'})",
     )
 
 
@@ -249,8 +247,7 @@ def _make_parser() -> argparse.ArgumentParser:
     sample.add_argument("--json", action="store_true",
                         help="machine-readable output")
     _add_linalg_flag(sample)
-    _add_cache_dir_flag(sample)
-    _add_rng_contract_flag(sample)
+    _add_cache_dir_flag(sample, default=None)
 
     rounds = sub.add_parser("rounds", help="compare sampler round bills")
     rounds.add_argument("--family", default="expander", choices=family_names())
@@ -260,8 +257,7 @@ def _make_parser() -> argparse.ArgumentParser:
     rounds.add_argument("--json", action="store_true",
                         help="machine-readable output")
     _add_linalg_flag(rounds)
-    _add_cache_dir_flag(rounds)
-    _add_rng_contract_flag(rounds)
+    _add_cache_dir_flag(rounds, default=None)
 
     pagerank = sub.add_parser(
         "pagerank", help="walk-based PageRank vs the exact solve"
@@ -298,8 +294,7 @@ def _make_parser() -> argparse.ArgumentParser:
     mst.add_argument("--json", action="store_true",
                      help="machine-readable output")
     _add_linalg_flag(mst)
-    _add_cache_dir_flag(mst)
-    _add_rng_contract_flag(mst)
+    _add_cache_dir_flag(mst, default=None)
 
     ensemble = sub.add_parser(
         "ensemble",
@@ -321,8 +316,7 @@ def _make_parser() -> argparse.ArgumentParser:
     ensemble.add_argument("--json", action="store_true",
                           help="machine-readable output")
     _add_linalg_flag(ensemble)
-    _add_cache_dir_flag(ensemble)
-    _add_rng_contract_flag(ensemble)
+    _add_cache_dir_flag(ensemble, default=None)
 
     audit = sub.add_parser(
         "audit", help="uniformity audit against exact enumeration"
@@ -339,17 +333,15 @@ def _make_parser() -> argparse.ArgumentParser:
     audit.add_argument("--json", action="store_true",
                        help="machine-readable output")
     _add_linalg_flag(audit)
-    _add_cache_dir_flag(audit)
-    _add_rng_contract_flag(audit)
+    _add_cache_dir_flag(audit, default=None)
 
     calibrate = sub.add_parser(
         "calibrate",
         help="fit this machine's sparse/dense crossover and persist it",
     )
-    calibrate.add_argument(
-        "--cache-dir", dest="cache_dir", default="auto", metavar="DIR",
-        help="persistence directory for the profile (default: 'auto' = "
-             "$REPRO_CACHE_DIR or ~/.cache/repro-spanning-trees)",
+    _add_cache_dir_flag(
+        calibrate, default="auto",
+        what="persistence directory for the profile",
     )
     calibrate.add_argument(
         "--quick", action="store_true",
@@ -363,10 +355,8 @@ def _make_parser() -> argparse.ArgumentParser:
         "cache",
         help="inspect or maintain a persistent derived-graph cache dir",
     )
-    cache.add_argument(
-        "--cache-dir", dest="cache_dir", default="auto", metavar="DIR",
-        help="cache directory to operate on (default: 'auto' = "
-             "$REPRO_CACHE_DIR or ~/.cache/repro-spanning-trees)",
+    _add_cache_dir_flag(
+        cache, default="auto", what="cache directory to operate on"
     )
     cache_action = cache.add_mutually_exclusive_group()
     cache_action.add_argument(
@@ -436,12 +426,10 @@ def _make_parser() -> argparse.ArgumentParser:
         "--preset", default="fast-bench",
         help="default config preset for requests that name none",
     )
-    serve.add_argument(
-        "--cache-dir", dest="cache_dir", default="auto", metavar="DIR",
-        help="shared warm-start cache volume applied to every worker "
-             "session (default: 'auto' = $REPRO_CACHE_DIR or "
-             "~/.cache/repro-spanning-trees; 'none' disables the "
-             "override and presets decide)",
+    _add_cache_dir_flag(
+        serve, default="auto",
+        what="shared warm-start cache volume applied to every worker "
+             "session; 'none' disables the override and presets decide",
     )
     serve.add_argument(
         "--session-cap", dest="session_cap", type=int, default=8,

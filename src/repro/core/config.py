@@ -4,6 +4,13 @@ Every tunable the paper leaves as a parameter (epsilon, rho, the nominal
 walk length ell, numerical precision, which matching sampler realizes the
 JSV/JVV step) is surfaced here, with defaults matching the paper's choices
 for the approximate (Theorem 1) variant.
+
+How the walk layer consumes randomness is not a knob. The paper fixes
+the *law* of every walk-layer decision, not which generator bits realize
+it, and there is one realization: per level (and per contingency-DP
+draw / first-visit group) one uniform block is drawn and every pending
+decision is resolved by ``searchsorted`` against CDFs the phase's
+:class:`~repro.core.placement_plan.PlacementPlan` caches.
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ __all__ = ["SamplerConfig"]
 
 MatchingMethod = Literal["exact-dp", "exact-permanent", "mcmc"]
 FailurePolicy = Literal["extend", "error"]
-RngContract = Literal["v2", "v1"]
 
 
 @dataclass(frozen=True)
@@ -59,21 +65,6 @@ class SamplerConfig:
         ``"mcmc"`` (Metropolis chain -- the approximate path of Lemma 4).
     mcmc_steps:
         Proposal count for the MCMC matching sampler (``None``: 10 * B^3).
-    rng_contract:
-        How the walk layer consumes randomness. Every phase runs over a
-        :class:`~repro.core.placement_plan.PlacementPlan` that memoizes
-        the phase's midpoint laws, contingency-DP builds and first-visit
-        edge distributions. ``"v2"`` (default) is the block-draw
-        contract: per level (and per contingency-DP draw / first-visit
-        group), one uniform vector is drawn from the generator and every
-        pending decision is resolved by ``np.searchsorted`` against CDFs
-        the plan caches alongside its laws. ``"v1"`` is the
-        per-decision ``Generator.choice(p=...)`` contract of earlier
-        releases; it reproduces seed fixtures captured before the v2
-        contract existed. Both contracts sample the identical tree law
-        (chi-square/exact-TV harness) and charge identical round
-        ledgers -- only *which* RNG bits realize a draw differs, so
-        same-seed trees differ across contracts.
     precision_bits:
         Entry precision for matrix power ladders. ``None`` = full float64
         (the exact-arithmetic idealization); an integer activates the
@@ -152,7 +143,6 @@ class SamplerConfig:
     on_failure: FailurePolicy = "extend"
     matching_method: MatchingMethod = "exact-dp"
     mcmc_steps: int | None = None
-    rng_contract: RngContract = "v2"
     precision_bits: int | None = None
     matmul_backend: Literal["analytic", "simulated-3d"] = "analytic"
     linalg_backend: Literal["auto", "dense", "sparse"] = "auto"
@@ -183,10 +173,6 @@ class SamplerConfig:
         if self.matching_method not in ("exact-dp", "exact-permanent", "mcmc"):
             raise ConfigError(
                 f"unknown matching method {self.matching_method!r}"
-            )
-        if self.rng_contract not in ("v2", "v1"):
-            raise ConfigError(
-                f"unknown rng contract {self.rng_contract!r}"
             )
         if self.precision_bits is not None and self.precision_bits < 8:
             raise ConfigError(

@@ -71,7 +71,6 @@ class Direction4Sampler:
         *,
         walk_factor: float = 1.0,
         start_vertex: int = 0,
-        rng_contract: str = "v2",
     ) -> None:
         graph.require_connected()
         if graph.n < 2:
@@ -80,12 +79,9 @@ class Direction4Sampler:
             raise GraphError("walk_factor must be positive")
         if not (0 <= start_vertex < graph.n):
             raise GraphError(f"start vertex {start_vertex} out of range")
-        if rng_contract not in ("v2", "v1"):
-            raise GraphError(f"unknown rng contract {rng_contract!r}")
         self.graph = graph
         self.walk_factor = walk_factor
         self.start_vertex = start_vertex
-        self.rng_contract = rng_contract
 
     def sample(self, rng: np.random.Generator | None = None) -> Direction4Result:
         """Sample one spanning tree; phases are capped at 4n as a guard."""
@@ -128,7 +124,6 @@ class Direction4Sampler:
                 else:
                     result = doubling_random_walk(
                         phase_graph, walk_length, rng, clique=clique,
-                        rng_contract=self.rng_contract,
                     )
                     local_walk = result.walk(index_of[current])
                 walk_orig = [order[i] for i in local_walk]
@@ -140,29 +135,17 @@ class Direction4Sampler:
                         continue
                     seen.add(v)
                     steps.append((walk_orig[position - 1], v))
-                if self.rng_contract == "v2" and steps:
-                    # Block contract: one uniform vector covers every
-                    # first-visit edge the phase harvests.
-                    uniforms = rng.random(len(steps))
-                    for (prev, v), uniform in zip(steps, uniforms):
-                        neighbors, law = first_visit_edge_distribution(
-                            graph, subset, q, prev, v
-                        )
-                        cdf = np.cumsum(law)
-                        index = int(
-                            cdf.searchsorted(uniform * cdf[-1], "right")
-                        )
-                        u = int(neighbors[min(index, len(cdf) - 1)])
-                        edges.append((u, v))
-                else:
-                    for prev, v in steps:
-                        neighbors, law = first_visit_edge_distribution(
-                            graph, subset, q, prev, v
-                        )
-                        u = int(
-                            neighbors[int(rng.choice(len(neighbors), p=law))]
-                        )
-                        edges.append((u, v))
+                # One uniform vector covers every first-visit edge the
+                # phase harvests.
+                uniforms = rng.random(len(steps)) if steps else ()
+                for (prev, v), uniform in zip(steps, uniforms):
+                    neighbors, law = first_visit_edge_distribution(
+                        graph, subset, q, prev, v
+                    )
+                    cdf = np.cumsum(law)
+                    index = int(cdf.searchsorted(uniform * cdf[-1], "right"))
+                    u = int(neighbors[min(index, len(cdf) - 1)])
+                    edges.append((u, v))
                 distinct_per_phase.append(len(seen))
                 walk_lengths.append(len(walk_orig) - 1)
                 visited.update(walk_orig)

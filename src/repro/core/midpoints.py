@@ -68,15 +68,12 @@ class MidpointBank:
         memo, computed there on first use, so levels, extension segments
         and draws that meet a pair again share one vector. Without a
         plan the bank uses a private one.
-    contract:
-        RNG contract. ``"v1"`` (default) draws one ``rng.choice`` per
-        pair, byte-compatible with the seed implementation. ``"v2"``
-        validates every pair's normalizer floor *first* (a
-        :class:`~repro.errors.PrecisionError` fallback then leaves the
-        generator untouched), draws one uniform block for the whole
-        level, and resolves each pair by ``searchsorted`` against its
-        cumulative law -- the same per-pair distribution from different
-        generator bits.
+
+    Every pair's normalizer floor is validated *first* (a
+    :class:`~repro.errors.PrecisionError` fallback then leaves the
+    generator untouched); the bank then draws one uniform block for the
+    whole level and resolves each pair's draws by ``searchsorted``
+    against its cumulative law.
     """
 
     def __init__(
@@ -90,7 +87,6 @@ class MidpointBank:
         leader: int = 0,
         plan: PlacementPlan | None = None,
         level: int = 0,
-        contract: str = "v1",
     ) -> None:
         plan = plan or PlacementPlan()
         self.pair_counts = dict(pair_counts)
@@ -120,51 +116,35 @@ class MidpointBank:
                 max_hosted * clique.n,
                 total_words=num_pairs * clique.n,
             )
-        if contract == "v2":
-            # Validate every pair's floor before any randomness is
-            # consumed: the Section 5.2 fallback can then rerun the level
-            # with the generator exactly where it started.
-            pending: list[tuple[Pair, int, np.ndarray]] = []
-            total_count = 0
-            for pair, count in self.pair_counts.items():
-                if count < 0:
-                    raise WalkError(f"negative count for pair {pair}")
-                cdf, total = plan.cdf(level, *pair, half_power)
-                if total <= normalizer_floor or total <= 0.0:
-                    raise PrecisionError(
-                        f"midpoint normalizer for pair {pair} is "
-                        f"{total:.3e}, below the floor "
-                        f"{normalizer_floor:.3e}"
-                    )
-                pending.append((pair, count, cdf))
-                total_count += count
-            block = rng.random(total_count) if total_count else None
-            cursor = 0
-            for pair, count, cdf in pending:
-                uniforms = (
-                    block[cursor:cursor + count]
-                    if count
-                    else np.empty(0, dtype=np.float64)
-                )
-                cursor += count
-                draws = cdf.searchsorted(uniforms * cdf[-1], "right")
-                self._sequences[pair] = np.minimum(
-                    draws, n - 1
-                ).astype(np.int64)
-            return
+        # Validate every pair's floor before any randomness is
+        # consumed: the Section 5.2 fallback can then rerun the level
+        # with the generator exactly where it started.
+        pending: list[tuple[Pair, int, np.ndarray]] = []
+        total_count = 0
         for pair, count in self.pair_counts.items():
             if count < 0:
                 raise WalkError(f"negative count for pair {pair}")
-            probabilities, total = plan.probabilities(
-                level, *pair, half_power
-            )
+            cdf, total = plan.cdf(level, *pair, half_power)
             if total <= normalizer_floor or total <= 0.0:
                 raise PrecisionError(
-                    f"midpoint normalizer for pair {pair} is {total:.3e}, "
-                    f"below the floor {normalizer_floor:.3e}"
+                    f"midpoint normalizer for pair {pair} is "
+                    f"{total:.3e}, below the floor "
+                    f"{normalizer_floor:.3e}"
                 )
-            self._sequences[pair] = rng.choice(
-                n, size=count, p=probabilities
+            pending.append((pair, count, cdf))
+            total_count += count
+        block = rng.random(total_count) if total_count else None
+        cursor = 0
+        for pair, count, cdf in pending:
+            uniforms = (
+                block[cursor:cursor + count]
+                if count
+                else np.empty(0, dtype=np.float64)
+            )
+            cursor += count
+            draws = cdf.searchsorted(uniforms * cdf[-1], "right")
+            self._sequences[pair] = np.minimum(
+                draws, n - 1
             ).astype(np.int64)
 
     @staticmethod

@@ -35,14 +35,9 @@ from repro.core.midpoints import MidpointBank
 from repro.core.placement import place_by_pair_multisets, place_midpoints
 from repro.core.placement_plan import PlacementPlan
 from repro.core.truncation import LevelView, find_truncation_index_fast
-from repro.errors import PrecisionError, SamplingError
+from repro.errors import PrecisionError, SamplingError, WalkError
 from repro.linalg.matpow import PowerLadder
-from repro.walks.fill import (
-    PartialWalk,
-    _fill_level,
-    _sample_end,
-    _truncate_at_distinct,
-)
+from repro.walks.fill import PartialWalk, _truncate_at_distinct
 
 __all__ = ["PhaseStats", "run_phase_walk"]
 
@@ -79,6 +74,43 @@ class PhaseStats:
         return cls(**payload)
 
 
+def _fill_level(
+    walk: PartialWalk,
+    half_power,
+    rng: np.random.Generator,
+    *,
+    plan: PlacementPlan,
+    level: int,
+) -> PartialWalk:
+    """Insert one midpoint into every gap, halving the spacing.
+
+    The level consumes one uniform block (one generator invocation for
+    all gaps) and resolves each gap by ``searchsorted`` against its
+    cumulative law from ``plan``. This is the Section 5.2 fallback's
+    sequential fill; :mod:`repro.walks.fill` keeps the planless
+    reference.
+    """
+    if walk.spacing % 2 != 0:
+        raise WalkError(f"cannot halve odd spacing {walk.spacing}")
+    pairs = walk.pairs()
+    cdfs: list[np.ndarray] = []
+    for p, q in pairs:
+        cdf, total = plan.cdf(level, p, q, half_power)
+        if total <= 0:
+            raise WalkError(
+                f"no vertex can be the midpoint between {p} and {q}: "
+                "inconsistent partial walk"
+            )
+        cdfs.append(cdf)
+    block = rng.random(len(pairs)) if pairs else ()
+    new_vertices = [walk.vertices[0]]
+    for (__, q), cdf, u in zip(pairs, cdfs, block):
+        midpoint = int(cdf.searchsorted(u * cdf[-1], "right"))
+        new_vertices.append(min(midpoint, len(cdf) - 1))
+        new_vertices.append(q)
+    return PartialWalk(walk.spacing // 2, new_vertices)
+
+
 def _segment_fill(
     ladder: PowerLadder,
     start: int,
@@ -90,7 +122,6 @@ def _segment_fill(
     *,
     exact_placement: bool,
     plan: PlacementPlan,
-    contract: str,
 ) -> list[int]:
     """One distributed truncated fill of nominal length ``ladder.ell``.
 
@@ -99,14 +130,11 @@ def _segment_fill(
     """
     n = ladder.power(1).shape[0]
     ell = ladder.ell
-    if contract == "v2":
-        # Block contract: one uniform against the memoized cumulative
-        # end law (extensions revisit start vertices across draws).
-        end_cdf = plan.end_cdf(start, ladder.power(ell))
-        end = int(end_cdf.searchsorted(rng.random() * end_cdf[-1], "right"))
-        end = min(end, n - 1)
-    else:
-        end = _sample_end(ladder, start, rng)
+    # One uniform against the memoized cumulative end law (extensions
+    # revisit start vertices across draws).
+    end_cdf = plan.end_cdf(start, ladder.power(ell))
+    end = int(end_cdf.searchsorted(rng.random() * end_cdf[-1], "right"))
+    end = min(end, n - 1)
     if clique is not None:
         # Algorithm 1 step 4: the leader samples W[ell] from its own row.
         clique.charge_step("init/sample-end", 1, 1, total_words=1)
@@ -122,7 +150,7 @@ def _segment_fill(
             bank = MidpointBank(
                 pair_counts, half_power, rng,
                 normalizer_floor=floor, clique=clique,
-                plan=plan, level=half, contract=contract,
+                plan=plan, level=half,
             )
         except PrecisionError:
             # Section 5.2 fallback: collect the network at the leader
@@ -137,7 +165,7 @@ def _segment_fill(
                 fill_half = walk.spacing // 2
                 walk = _fill_level(
                     walk, ladder.power(fill_half), rng,
-                    plan=plan, level=fill_half, contract=contract,
+                    plan=plan, level=fill_half,
                 )
                 walk = _truncate_at_distinct(walk, rho_seg)
             break
@@ -148,16 +176,14 @@ def _segment_fill(
         if t_star == 0:
             raise SamplingError("truncation collapsed to the start vertex")
         if exact_placement:
-            walk = place_by_pair_multisets(
-                view, t_star, rng, clique=clique, contract=contract
-            )
+            walk = place_by_pair_multisets(view, t_star, rng, clique=clique)
         else:
             walk = place_midpoints(
                 view, t_star, half_power, rng,
                 method=config.matching_method,
                 mcmc_steps=config.mcmc_steps,
                 clique=clique,
-                plan=plan, level=half, contract=contract,
+                plan=plan, level=half,
             )
         stats.levels += 1
     return list(walk.vertices)
@@ -175,7 +201,6 @@ def run_phase_walk(
     exact_placement: bool = False,
     stats: PhaseStats | None = None,
     plan: PlacementPlan | None = None,
-    contract: str = "v1",
 ) -> list[int]:
     """Sample a phase walk stopping at its rho_eff-th distinct vertex.
 
@@ -191,10 +216,8 @@ def run_phase_walk(
     end laws and contingency-DP builds are served from its memos, so
     the engine passes the plan its cache entry carries and every draw
     against the phase shares it. Callers without one get a private plan
-    for this walk. ``contract`` selects the RNG contract: ``"v1"`` keeps
-    the per-decision bit-stream of the seed implementation, ``"v2"``
-    draws uniform blocks resolved against the plan's CDFs -- the
-    identical walk law from different generator bits.
+    for this walk. Every decision is drawn as a uniform block resolved
+    against the plan's CDFs.
     """
     plan = plan or PlacementPlan()
     if stats is None:
@@ -212,7 +235,7 @@ def run_phase_walk(
 
     walk = _segment_fill(
         ladder, start, rho_eff, config, rng, clique, stats,
-        exact_placement=exact_placement, plan=plan, contract=contract,
+        exact_placement=exact_placement, plan=plan,
     )
     seen = set(walk)
     extensions = 0
@@ -235,7 +258,7 @@ def run_phase_walk(
         remaining = rho_eff - len(seen)
         segment = _segment_fill(
             ladder, walk[-1], remaining + 1, config, rng, clique, stats,
-            exact_placement=exact_placement, plan=plan, contract=contract,
+            exact_placement=exact_placement, plan=plan,
         )
         walk.extend(segment[1:])
         seen = set(walk)

@@ -106,7 +106,6 @@ def place_midpoints(
     clique: CongestedClique | None = None,
     plan: PlacementPlan | None = None,
     level: int = 0,
-    contract: str = "v1",
 ) -> PartialWalk:
     """Sample the placement of the collected multiset (Section 2.1.3).
 
@@ -156,9 +155,7 @@ def place_midpoints(
         # Fall back to the appendix's per-pair multiset placement, which
         # resamples the same conditional law exactly (both are exact
         # resamplings of the true placement; see Appendix 5.3).
-        return place_by_pair_multisets(
-            view, t_star, rng, clique=clique, contract=contract
-        )
+        return place_by_pair_multisets(view, t_star, rng, clique=clique)
     if positions:
         pair_for_position = {
             t: view.pair_of_gap((t - 1) // 2) for t in positions
@@ -186,8 +183,7 @@ def place_midpoints(
         _charge_submatrix(clique, distinct)
         per_class = _sample_assignment(
             instance, view, positions, pair_for_position, rng,
-            method=method, mcmc_steps=mcmc_steps,
-            plan=plan, contract=contract,
+            method=method, mcmc_steps=mcmc_steps, plan=plan,
         )
         # Hand the sampled labels to positions class by class, in
         # chronological order within each class.
@@ -211,7 +207,6 @@ def _sample_assignment(
     method: str,
     mcmc_steps: int | None,
     plan: PlacementPlan,
-    contract: str,
 ) -> list[list[int]]:
     """Dispatch to the configured matching sampler; returns per-column-class
     label lists (chronological within class)."""
@@ -222,22 +217,14 @@ def _sample_assignment(
         method = "exact-dp"
     if method == "exact-dp":
         # The deterministic DP build is shared across isomorphic
-        # instances via the plan; only the sampling pass (and the
-        # uniform within-class expansion) consumes the rng.
-        prepared = plan.prepared_dp(instance)
-        if not prepared.consumes_rng:
-            table = prepared.sample()
-        elif contract == "v2":
-            # Block contract: one uniform vector per table draw,
-            # resolved column by column against the prepared CDFs.
-            table = prepared.sample_block(rng)
-        else:
-            table = prepared.sample(rng)
+        # instances via the plan; only the sampling pass (one uniform
+        # vector per table draw, resolved column by column against the
+        # prepared CDFs) and the uniform within-class expansion consume
+        # the rng.
+        table = plan.prepared_dp(instance).sample(rng)
         return [
             [int(x) for x in labels]
-            for labels in expand_table_to_assignment(
-                instance, table, rng, rng_contract=contract
-            )
+            for labels in expand_table_to_assignment(instance, table, rng)
         ]
     # The expanded-matrix samplers need explicit row/column expansions.
     expanded = instance.expanded_weights()
@@ -311,7 +298,6 @@ def place_by_pair_multisets(
     rng: np.random.Generator,
     *,
     clique: CongestedClique | None = None,
-    contract: str = "v1",
 ) -> PartialWalk:
     """Appendix 5.3 placement: per-pair multisets, uniform shuffles.
 
@@ -357,20 +343,14 @@ def place_by_pair_multisets(
             )
         pending.append((values, slots))
         total_values += len(values)
-    if contract == "v2":
-        # One uniform block for the level; argsorting a pair's slice of
-        # iid uniform keys is a uniform permutation (ties have measure
-        # zero), so each pair's multiset shuffle stays exact.
-        block = rng.random(total_values)
-        cursor = 0
-        for values, slots in pending:
-            order = np.argsort(block[cursor:cursor + len(values)])
-            cursor += len(values)
-            for slot, index in zip(slots, order):
-                placed[slot] = values[int(index)]
-    else:
-        for values, slots in pending:
-            order = rng.permutation(len(values))
-            for slot, index in zip(slots, order):
-                placed[slot] = values[int(index)]
+    # One uniform block for the level; argsorting a pair's slice of iid
+    # uniform keys is a uniform permutation (ties have measure zero), so
+    # each pair's multiset shuffle stays exact.
+    block = rng.random(total_values)
+    cursor = 0
+    for values, slots in pending:
+        order = np.argsort(block[cursor:cursor + len(values)])
+        cursor += len(values)
+        for slot, index in zip(slots, order):
+            placed[slot] = values[int(index)]
     return _assemble(view, t_star, placed)

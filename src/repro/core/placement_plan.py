@@ -25,8 +25,9 @@ per-phase memo that exploits this split:
   distribution over the candidate first-visit edges, a function of
   ``(G, S, prev, v)`` alone.
 
-The v2 RNG contract (``rng_contract="v2"``) adds CDF companions to each
-memo: ``cdf(level, p, q, half_power)`` is the cumulative sum of the
+The walk layer draws every decision as a uniform resolved by
+``searchsorted`` against a CDF, so each memo has a CDF companion:
+``cdf(level, p, q, half_power)`` is the cumulative sum of the
 unnormalized law (consumers scale a uniform by ``cdf[-1]`` instead of
 normalizing), ``first_visit_cdf`` and ``end_cdf`` do the same for
 Algorithm 4 edges and the segment end-vertex law, and ``prepared_dp``
@@ -63,7 +64,7 @@ to each cache entry, and walk-layer entry points called without one
 caches sampled outcomes -- tables, assignments, edges and trees are
 drawn fresh from the request's RNG on every use, so a cold plan and a
 warm one draw byte-identical trees for the same seed (the golden seed
-fixtures in ``tests/test_placement_batched.py`` pin both contracts).
+fixtures in ``tests/test_placement_batched.py`` pin them).
 """
 
 from __future__ import annotations
@@ -186,12 +187,8 @@ class PlacementPlan:
         self._laws: OrderedDict[
             tuple[int, int, int], tuple[np.ndarray, float]
         ] = OrderedDict()
-        # Normalized companions of _laws entries, filled lazily on first
-        # probability request (law / total, cached so repeat consumers
-        # skip the O(n) divide; bit-equal to dividing fresh).
-        self._probabilities: dict[tuple[int, int, int], np.ndarray] = {}
-        # Cumulative companions of _laws entries (v2 contract): cumsum of
-        # the unnormalized law, evicted together with the law.
+        # Cumulative companions of _laws entries: cumsum of the
+        # unnormalized law, evicted together with the law.
         self._cdfs: dict[tuple[int, int, int], np.ndarray] = {}
         self._dps: OrderedDict[str, object] = OrderedDict()
         # Persisted-but-not-yet-rebuilt contingency-DP CDF tables, keyed
@@ -205,7 +202,7 @@ class PlacementPlan:
         self._first_visit: OrderedDict[
             tuple[int, int], tuple[np.ndarray, np.ndarray]
         ] = OrderedDict()
-        # CDF companions of _first_visit entries (v2 contract).
+        # CDF companions of _first_visit entries.
         self._first_visit_cdfs: dict[tuple[int, int], np.ndarray] = {}
         # Segment end-vertex CDFs keyed by start vertex (the ladder's top
         # power is fixed per plan, so the key needs nothing else). Not
@@ -252,45 +249,21 @@ class PlacementPlan:
         entry = (law, total)
         if len(self._laws) >= self.max_laws:
             evicted_key, __ = self._laws.popitem(last=False)
-            self._probabilities.pop(evicted_key, None)
             self._cdfs.pop(evicted_key, None)
             self.evicted += 1
         self._laws[key] = entry
         self.dirty = True
         return entry
 
-    def probabilities(
-        self, level: int, p: int, q: int, half_power
-    ) -> tuple[np.ndarray, float]:
-        """The normalized midpoint law ``law / total`` (memoized divide).
-
-        Returns ``(probabilities, total)`` -- total is still needed for
-        the Section 5.2 normalizer-floor check. The cached vector is
-        exactly what dividing the cached law by its cached total yields,
-        bit-equal to dividing a fresh law.
-        """
-        key = (level, p, q)
-        law, total = self.law(level, p, q, half_power)
-        hit = self._probabilities.get(key)
-        if hit is not None:
-            return hit, total
-        if total <= 0.0:  # let the caller raise its own error
-            return law, total
-        probabilities = law / total
-        if key in self._laws:  # only cache alongside a resident law
-            self._probabilities[key] = probabilities
-        return probabilities, total
-
     def cdf(
         self, level: int, p: int, q: int, half_power
     ) -> tuple[np.ndarray, float]:
-        """The cumulative midpoint law (v2 contract; memoized cumsum).
+        """The cumulative midpoint law (memoized cumsum).
 
         Returns ``(cdf, total)`` where ``cdf`` is the cumsum of the
-        *unnormalized* law -- v2 consumers draw by scaling a uniform with
+        *unnormalized* law -- consumers draw by scaling a uniform with
         ``cdf[-1]``, so no normalizing divide ever runs -- and ``total``
-        is the law's sum for the Section 5.2 floor check (identical
-        float to what the v1 path checks).
+        is the law's sum for the Section 5.2 floor check.
         """
         key = (level, p, q)
         law, total = self.law(level, p, q, half_power)
@@ -305,7 +278,7 @@ class PlacementPlan:
     # -- segment end-vertex laws -----------------------------------------
 
     def end_cdf(self, start: int, top_power) -> np.ndarray:
-        """Cumulative end-vertex law ``cumsum(P^ell[start, :])`` (v2).
+        """Cumulative end-vertex law ``cumsum(P^ell[start, :])``.
 
         The ladder's top power is one matrix per plan (extensions reuse
         the nominal ell), so the memo keys on the start vertex alone.
@@ -400,10 +373,10 @@ class PlacementPlan:
         vertex: int,
         compute: Callable[[], tuple[np.ndarray, np.ndarray]],
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``(neighbors, cdf)`` companion of :meth:`first_visit` (v2).
+        """``(neighbors, cdf)`` companion of :meth:`first_visit`.
 
-        The cdf is the cumsum of the cached probability vector; v2
-        consumers scale their uniform by ``cdf[-1]`` (the probabilities
+        The cdf is the cumsum of the cached probability vector; consumers
+        scale their uniform by ``cdf[-1]`` (the probabilities
         Algorithm 4 computes already sum to ~1, but scaling keeps the
         draw exact under float round-off without a renormalizing pass).
         """
@@ -424,8 +397,6 @@ class PlacementPlan:
         total = 0
         for law, __ in self._laws.values():
             total += law.nbytes
-        for probabilities in self._probabilities.values():
-            total += probabilities.nbytes
         for cdf in self._cdfs.values():
             total += cdf.nbytes
         for neighbors, probabilities in self._first_visit.values():

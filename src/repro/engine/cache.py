@@ -39,7 +39,6 @@ __all__ = [
     "DerivedGraphCache",
     "config_fingerprint",
     "CACHE_BEHAVIOR_FIELDS",
-    "NON_NUMERICS_FIELDS",
 ]
 
 # Configuration fields that steer *where and how much* the cache stores,
@@ -59,14 +58,6 @@ CACHE_BEHAVIOR_FIELDS = frozenset(
     }
 )
 
-# The full exclusion set: cache sizing/location knobs plus the RNG
-# contract, which selects *how* a result is drawn, never the numerics.
-# ``rng_contract`` only changes *which generator bits* realize a decision
-# at read time (per-decision choice vs block draws over plan CDFs), never
-# the laws or matrices stored in an entry, so v1 and v2 sessions share
-# numerics entries -- only golden seed fixtures fork across contracts.
-NON_NUMERICS_FIELDS = CACHE_BEHAVIOR_FIELDS | {"rng_contract"}
-
 
 def config_fingerprint(config, *, resolved_ell: int, linalg_backend: str) -> str:
     """Canonical string over every *numerics-affecting* field plus resolved state.
@@ -81,15 +72,14 @@ def config_fingerprint(config, *, resolved_ell: int, linalg_backend: str) -> str
     harmlessly (a non-numeric field change just forfeits sharing) but can
     never alias two configurations that compute different numbers.
 
-    The one deliberate carve-out is :data:`NON_NUMERICS_FIELDS`:
-    cache location/sizing knobs change which entries are *kept* and
-    ``rng_contract`` changes which generator bits *read* them -- never
-    the bytes inside them -- and including them would partition a
-    shared persistent directory into mutually invisible shards.
+    The one deliberate carve-out is :data:`CACHE_BEHAVIOR_FIELDS`:
+    cache location/sizing knobs change which entries are *kept*, never
+    the bytes inside them, and including them would partition a shared
+    persistent directory into mutually invisible shards.
     """
     parts: list[tuple[str, str]] = []
     for field in fields(config):
-        if field.name in NON_NUMERICS_FIELDS:
+        if field.name in CACHE_BEHAVIOR_FIELDS:
             continue
         value = getattr(config, field.name)
         if field.name == "extra":

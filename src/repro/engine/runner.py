@@ -255,7 +255,6 @@ class SamplerEngine:
             exact_placement=self.spec.exact_placement,
             stats=stats,
             plan=plan,
-            contract=config.rng_contract,
         )
         walk_orig = [order[i] for i in local_walk]
 
@@ -278,13 +277,11 @@ class SamplerEngine:
                 continue
             seen.add(v)
             steps.append((walk_orig[position - 1], v))
-        # Block contract: the phase's first-visit edges share one uniform
-        # vector, each resolved against the memoized cumulative
-        # distribution of its (prev, v) step.
-        uniforms = None
-        if config.rng_contract == "v2" and steps:
-            uniforms = rng.random(len(steps))
-        for index, (prev, v) in enumerate(steps):
+        # The phase's first-visit edges share one uniform vector, each
+        # resolved against the memoized cumulative distribution of its
+        # (prev, v) step.
+        uniforms = rng.random(len(steps)) if steps else ()
+        for (prev, v), uniform in zip(steps, uniforms):
 
             def _cold_distribution(prev=prev, v=v):
                 return first_visit_edge_distribution(
@@ -292,17 +289,9 @@ class SamplerEngine:
                     weight_into_s=weight_into_s,
                 )
 
-            if uniforms is not None:
-                neighbors, cdf = plan.first_visit_cdf(
-                    prev, v, _cold_distribution
-                )
-                pick = int(cdf.searchsorted(uniforms[index] * cdf[-1], "right"))
-                pick = min(pick, len(cdf) - 1)
-            else:
-                neighbors, probabilities = plan.first_visit(
-                    prev, v, _cold_distribution
-                )
-                pick = int(rng.choice(len(neighbors), p=probabilities))
+            neighbors, cdf = plan.first_visit_cdf(prev, v, _cold_distribution)
+            pick = int(cdf.searchsorted(uniform * cdf[-1], "right"))
+            pick = min(pick, len(cdf) - 1)
             edges.append((int(neighbors[pick]), v))
             stats.new_vertices.append(v)
         if broadcast:

@@ -27,20 +27,18 @@ one build across every draw that meets an isomorphic instance
 (:func:`instance_digest`); :func:`sample_contingency_table` is the
 one-shot composition of the two.
 
-Prepared evaluators expose two sampling passes over the identical law:
-
-- ``sample(rng)`` -- the v1 contract: one ``Generator.choice(p=...)``
-  per column class, byte-faithful to the pre-plan implementation.
-- ``sample_block(rng)`` -- the v2 contract: ONE uniform vector per draw
-  (``rng.random(num_columns)``), each column resolved by
-  ``np.searchsorted`` against a per-(column, remaining-state) CDF table.
-  The root-column table is built eagerly at prepare time; deeper states
-  are memoized on first visit, so warm draws touch no ``exp``/normalize
-  at all. The memo round-trips through ``export_cdf_entries`` /
-  ``from_cdf_seed`` so a :class:`~repro.core.placement_plan.PlacementPlan`
-  can persist the hottest instances' CDF tables and a restarted process
-  can serve its first draws without re-running the forward/backward
-  passes (the build is deferred until a state-memo miss).
+Every prepared evaluator has one sampling pass, ``sample(rng)``: ONE
+uniform vector per draw (``rng.random(num_columns)``), each column
+resolved by ``np.searchsorted`` against a per-(column, remaining-state)
+CDF table. The root-column table is built eagerly at prepare time;
+deeper states are memoized on first visit, so warm draws touch no
+``exp``/normalize at all. The memo round-trips through
+``export_cdf_entries`` / ``from_cdf_seed`` so a
+:class:`~repro.core.placement_plan.PlacementPlan` can persist the
+hottest instances' CDF tables and a restarted process can serve its
+first draws without re-running the forward/backward passes (the build
+is deferred until a state-memo miss). The closed-form evaluator's pass
+consumes no randomness at all.
 """
 
 from __future__ import annotations
@@ -290,16 +288,12 @@ def instance_digest(instance: ClassifiedBipartite) -> str:
 class _PreparedTrivial:
     """Closed-form single-row/column-class table; consumes no randomness."""
 
-    consumes_rng = False
-
     def __init__(self, table: np.ndarray) -> None:
         self._table = table
 
     def sample(self, rng: np.random.Generator | None = None) -> np.ndarray:
+        """The forced table; ``rng`` is accepted and left untouched."""
         return self._table.copy()
-
-    # The v2 block contract: still no randomness (the table is forced).
-    sample_block = sample
 
     def nbytes(self) -> int:
         return int(self._table.nbytes)
@@ -310,12 +304,10 @@ class _PreparedReference:
 
     Mirrors the seed implementation exactly -- same composition
     enumeration order, same log-space accumulation order -- so the
-    sampled option probabilities are bit-identical; the only difference
-    is that the suffix memo (and optionally the composition memo) lives
-    on the object instead of being rebuilt and cleared per call.
+    option probabilities are bit-identical; the only difference is that
+    the suffix memo (and optionally the composition memo) lives on the
+    object instead of being rebuilt and cleared per call.
     """
-
-    consumes_rng = True
 
     def __init__(
         self,
@@ -326,13 +318,13 @@ class _PreparedReference:
         self._a = tuple(int(k) for k in instance.row_counts)
         self._b = tuple(int(k) for k in instance.col_counts)
         self._suffix: dict[tuple[int, tuple[int, ...]], float] = {}
-        # (col_index, remaining) -> (options, probabilities, cdf): the
-        # deterministic per-state option law, computed once and shared by
-        # both sampling contracts (the floats are identical to what the
-        # seed implementation recomputed per draw).
+        # (col_index, remaining) -> (options, cdf): the deterministic
+        # per-state option law, computed once (the cdf is the cumsum of
+        # the normalized option probabilities the seed implementation
+        # recomputed per draw).
         self._options: dict[
             tuple[int, tuple[int, ...]],
-            tuple[list[tuple[int, ...]], np.ndarray, np.ndarray],
+            tuple[list[tuple[int, ...]], np.ndarray],
         ] = {}
         self._comps = comp_memo if comp_memo is not None else {}
         if self._log_suffix(0, self._a) == -math.inf:
@@ -354,13 +346,13 @@ class _PreparedReference:
     def nbytes(self) -> int:
         """Rough bytes of the suffix memo (~56B per float cache slot)."""
         total = 56 * len(self._suffix)
-        for options, probabilities, cdf in self._options.values():
-            total += 24 * len(options) + probabilities.nbytes + cdf.nbytes
+        for options, cdf in self._options.values():
+            total += 24 * len(options) + cdf.nbytes
         return total
 
     def _state_options(
         self, col_index: int, remaining: tuple[int, ...]
-    ) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
+    ) -> tuple[list[tuple[int, ...]], np.ndarray]:
         key = (col_index, remaining)
         hit = self._options.get(key)
         if hit is not None:
@@ -390,7 +382,7 @@ class _PreparedReference:
         logs = np.asarray(option_logs)
         probabilities = np.exp(logs - logs.max())
         probabilities = probabilities / probabilities.sum()
-        entry = (options, probabilities, np.cumsum(probabilities))
+        entry = (options, np.cumsum(probabilities))
         self._options[key] = entry
         return entry
 
@@ -422,30 +414,14 @@ class _PreparedReference:
         return value
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        num_rows = len(self._a)
-        remaining = self._a
-        table = np.zeros((num_rows, len(self._b)), dtype=np.int64)
-        for col_index in range(len(self._b)):
-            options, probabilities, __ = self._state_options(
-                col_index, remaining
-            )
-            choice = int(rng.choice(len(options), p=probabilities))
-            allocation = options[choice]
-            table[:, col_index] = allocation
-            remaining = tuple(
-                remaining[r] - allocation[r] for r in range(num_rows)
-            )
-        return table
-
-    def sample_block(self, rng: np.random.Generator) -> np.ndarray:
-        """The v2 contract: one uniform block, inverse-CDF per column."""
+        """One uniform block, inverse-CDF per column."""
         num_rows = len(self._a)
         num_cols = len(self._b)
         uniforms = rng.random(num_cols)
         remaining = self._a
         table = np.zeros((num_rows, num_cols), dtype=np.int64)
         for col_index in range(num_cols):
-            options, __, cdf = self._state_options(col_index, remaining)
+            options, cdf = self._state_options(col_index, remaining)
             choice = int(
                 cdf.searchsorted(uniforms[col_index] * cdf[-1], "right")
             )
@@ -473,7 +449,6 @@ class _PreparedVectorized:
     every draw that meets the same (counts, weights) instance.
     """
 
-    consumes_rng = True
     _BLOCK_ELEMENTS = 4_000_000
 
     def __init__(self, instance: ClassifiedBipartite, *, build: bool = True) -> None:
@@ -491,10 +466,11 @@ class _PreparedVectorized:
         self._a_arr = np.asarray(a, dtype=np.int64)
         self._root_code = int(self._a_arr @ strides)
         # (col_index, remaining_code) -> (allocations, cdf): the per-state
-        # option CDF tables of the v2 block contract. The root-column
-        # table is built eagerly with the DP; deeper states are memoized
-        # on first visit during sample_block. cdf_memo_dirty flags growth
-        # since the plan last exported the memo (persistence).
+        # option CDF tables the sampling pass resolves against. The
+        # root-column table is built eagerly with the DP; deeper states
+        # are memoized on first visit during sample. cdf_memo_dirty
+        # flags growth since the plan last exported the memo
+        # (persistence).
         self._cdf_memo: dict[
             tuple[int, int], tuple[np.ndarray, np.ndarray]
         ] = {}
@@ -560,8 +536,8 @@ class _PreparedVectorized:
             col_log_factors.append(log_factors)
         self._col_comps = col_comps
         self._col_log_factors = col_log_factors
-        # Static per-column pieces of the sampling pass, hoisted out of
-        # sample() so warm draws pay only the remaining-dependent work:
+        # Static per-column pieces of a state's option law, hoisted out of
+        # _state_cdf so memo misses pay only the remaining-dependent work:
         # the finite-factor mask and each allocation's radix code.
         self._col_finite = [np.isfinite(lf) for lf in col_log_factors]
         self._col_comp_codes = [comps @ strides for comps in col_comps]
@@ -684,9 +660,9 @@ class _PreparedVectorized:
     ) -> tuple[np.ndarray, np.ndarray]:
         """(feasible allocations, option CDF) for one DP state.
 
-        The option weights are the same ``exp(logs - logs.max())`` vector
-        the v1 pass hands to ``Generator.choice``; the CDF is its cumsum,
-        consumed by scaling a uniform with ``cdf[-1]`` (no normalize).
+        The option weights are ``exp(logs - logs.max())``; the CDF is
+        their cumsum, consumed by scaling a uniform with ``cdf[-1]`` (no
+        normalize).
         """
         self._ensure_built()
         comps = self._col_comps[col_index]
@@ -717,8 +693,8 @@ class _PreparedVectorized:
         weights = np.exp(logs - logs.max())
         return comps[options], np.cumsum(weights)
 
-    def sample_block(self, rng: np.random.Generator) -> np.ndarray:
-        """The v2 contract: one uniform block, inverse-CDF per column.
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        """One uniform block, inverse-CDF per column.
 
         Consumes exactly one generator invocation per table draw. States
         resolve through the CDF memo, so a warm (or seeded) evaluator
@@ -757,54 +733,6 @@ class _PreparedVectorized:
         """The CDF memo for persistence (shallow copies of the arrays)."""
         return dict(self._cdf_memo)
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        self._ensure_built()
-        # One allocation draw per column class, options indexed in
-        # composition-enumeration order (same order as the reference DP).
-        # Integer arithmetic throughout, so tracking `remaining` as an
-        # int64 vector (instead of a tuple rebuilt per column) changes
-        # no values; the option log-probabilities are bit-identical.
-        a = self._a
-        strides = self._strides
-        remaining = self._a_arr.copy()
-        remaining_code = int(self._a_arr @ strides)
-        table = np.zeros((len(a), len(self._b)), dtype=np.int64)
-        for col_index in range(len(self._b)):
-            comps = self._col_comps[col_index]
-            log_factors = self._col_log_factors[col_index]
-            option_logs = np.full(comps.shape[0], -np.inf)
-            if comps.shape[0]:
-                feasible = (
-                    (comps <= remaining).all(axis=1)
-                    & self._col_finite[col_index]
-                )
-                if feasible.any():
-                    rest_codes = (
-                        remaining_code
-                        - self._col_comp_codes[col_index][feasible]
-                    )
-                    tails = _lookup(
-                        rest_codes,
-                        self._layers[col_index + 1][1],
-                        self._values[col_index + 1],
-                    )
-                    option_logs[feasible] = log_factors[feasible] + tails
-            options = np.flatnonzero(np.isfinite(option_logs))
-            if options.shape[0] == 0:
-                raise MatchingError(
-                    f"dead end at column class {col_index}: "
-                    "no feasible allocation"
-                )
-            logs = option_logs[options]
-            probabilities = np.exp(logs - logs.max())
-            probabilities = probabilities / probabilities.sum()
-            choice = int(rng.choice(options.shape[0], p=probabilities))
-            allocation = comps[options[choice]]
-            table[:, col_index] = allocation
-            remaining -= allocation
-            remaining_code -= int(allocation @ strides)
-        return table
-
 
 def _lookup(
     codes: np.ndarray, layer_codes: np.ndarray, layer_values: np.ndarray
@@ -826,8 +754,8 @@ def prepare_contingency_dp(
 ):
     """Build the deterministic half of the contingency DP for reuse.
 
-    Returns a prepared evaluator with ``sample(rng) -> table`` and a
-    ``consumes_rng`` flag. The forward/backward (or recursive suffix)
+    Returns a prepared evaluator whose ``sample(rng) -> table`` is its
+    one sampling pass. The forward/backward (or recursive suffix)
     passes are functions of the instance alone -- no randomness touches
     them -- so one build can serve every future draw against an equal
     (counts, weights) instance; that reuse is the core of the batched
@@ -873,10 +801,9 @@ def restore_prepared_vectorized(
     dispatch ``instance`` to a different evaluator (trivial closed form,
     the small-instance reference DP, or the int64 radix-overflow
     fallback) -- the caller then builds normally. Otherwise the returned
-    evaluator serves ``sample_block`` straight from the seeded memo and
-    only runs the forward/backward passes on a state miss (or a v1
-    ``sample`` call), which is what makes a restart's first warm draw
-    cheap.
+    evaluator serves ``sample`` straight from the seeded memo and only
+    runs the forward/backward passes on a state miss, which is what
+    makes a restart's first warm draw cheap.
     """
     if _trivial_table(instance) is not None:
         return None
@@ -922,8 +849,6 @@ def sample_contingency_table(
     batch workloads keep the prepared object and sample it repeatedly.
     """
     prepared = prepare_contingency_dp(instance, implementation=implementation)
-    if not prepared.consumes_rng:
-        return prepared.sample()
     return prepared.sample(np.random.default_rng(rng))
 
 
@@ -956,8 +881,6 @@ def expand_table_to_assignment(
     instance: ClassifiedBipartite,
     table: np.ndarray,
     rng: np.random.Generator | None = None,
-    *,
-    rng_contract: str = "v1",
 ) -> list[list[Hashable]]:
     """Turn a contingency table into per-column-class label sequences.
 
@@ -966,12 +889,10 @@ def expand_table_to_assignment(
     across that class's positions -- the conditional law of the matching
     given its table is exactly uniform over such arrangements.
 
-    ``rng_contract`` selects how that uniform order is drawn: ``"v1"``
-    makes one ``Generator.permutation`` call per column class (the
-    seed-faithful path); ``"v2"`` draws ONE uniform block covering every
-    position and sorts each column's slice (iid uniform keys have almost
-    surely distinct values, so their argsort is a uniform permutation) --
-    a single generator invocation regardless of the column-class count.
+    The order is drawn as ONE uniform block covering every position, and
+    each column's slice is sorted (iid uniform keys have almost surely
+    distinct values, so their argsort is a uniform permutation) -- a
+    single generator invocation regardless of the column-class count.
 
     Returns ``assignment`` where ``assignment[c]`` is the length-
     ``col_counts[c]`` list of row labels, in position order.
@@ -996,26 +917,17 @@ def expand_table_to_assignment(
         np.tile(np.arange(num_rows), num_cols), table.T.reshape(-1)
     )
     starts = np.concatenate(([0], np.cumsum(col_counts)))
-    if rng_contract == "v2":
-        block = rng.random(int(starts[-1]))
-        col_of_slot = np.repeat(np.arange(num_cols), col_counts)
-        # One stable sort by (column, key) orders every column at once:
-        # within a column it is exactly the argsort of its block slice
-        # (iid uniform keys are a.s. distinct, so any correct sort gives
-        # the same permutation the per-column argsort did).
-        ordered = class_of_slot[np.lexsort((block, col_of_slot))]
-        return [
-            [row_labels[k] for k in ordered[starts[c]:starts[c + 1]]]
-            for c in range(num_cols)
-        ]
-    # v1 draws one Generator.permutation per column class; the stream
-    # position of each draw is the contract, so this loop stays.
-    assignment: list[list[Hashable]] = []
-    for c in range(num_cols):
-        classes = class_of_slot[starts[c]:starts[c + 1]]
-        order = rng.permutation(int(col_counts[c]))
-        assignment.append([row_labels[classes[i]] for i in order])
-    return assignment
+    block = rng.random(int(starts[-1]))
+    col_of_slot = np.repeat(np.arange(num_cols), col_counts)
+    # One stable sort by (column, key) orders every column at once:
+    # within a column it is exactly the argsort of its block slice
+    # (iid uniform keys are a.s. distinct, so any correct sort gives
+    # the same permutation the per-column argsort did).
+    ordered = class_of_slot[np.lexsort((block, col_of_slot))]
+    return [
+        [row_labels[k] for k in ordered[starts[c]:starts[c + 1]]]
+        for c in range(num_cols)
+    ]
 
 
 def sample_assignment_by_classes(

@@ -6,7 +6,7 @@ to the graph it should run against::
     {
       "graph":   {"family": "cycle", "n": 64, "seed": 0},
       "preset":  "fast-bench",                      # optional
-      "config":  {"ell": 1024, "rng_contract": "v1"},  # optional overrides
+      "config":  {"ell": 1024, "linalg_backend": "dense"},  # optional
       "request": {"request": "ensemble", "count": 8, "seed": 123}
     }
 

@@ -89,8 +89,6 @@ def _initial_walks(
     k: int,
     rng: np.random.Generator,
     transition=None,
-    *,
-    rng_contract: str = "v1",
 ) -> np.ndarray:
     """Every vertex draws k independent length-1 walks (random edges).
 
@@ -99,26 +97,20 @@ def _initial_walks(
     format-agnostic accessor so the draw sequence is identical either
     way. ``None`` builds the dense matrix from the graph.
 
-    ``rng_contract="v2"`` draws one uniform block for the whole step
-    (one generator invocation instead of one ``choice`` per vertex) and
-    resolves each vertex's k edges by ``searchsorted`` against its row's
-    cumulative law -- the same per-vertex distribution from different
-    generator bits. ``"v1"`` keeps the per-vertex stream.
+    One uniform block covers the whole step (one generator invocation),
+    and each vertex's k edges are resolved by ``searchsorted`` against
+    its row's cumulative law.
     """
     n = graph.n
     if transition is None:
         transition = graph.transition_matrix()
     walks = np.empty((n, k, 2), dtype=np.int64)
     walks[:, :, 0] = np.arange(n)[:, None]
-    if rng_contract == "v2":
-        block = rng.random((n, k))
-        for v in range(n):
-            cdf = np.cumsum(matrix_row(transition, v))
-            draws = cdf.searchsorted(block[v] * cdf[-1], "right")
-            walks[v, :, 1] = np.minimum(draws, n - 1)
-        return walks
+    block = rng.random((n, k))
     for v in range(n):
-        walks[v, :, 1] = rng.choice(n, size=k, p=matrix_row(transition, v))
+        cdf = np.cumsum(matrix_row(transition, v))
+        draws = cdf.searchsorted(block[v] * cdf[-1], "right")
+        walks[v, :, 1] = np.minimum(draws, n - 1)
     return walks
 
 
@@ -131,7 +123,6 @@ def doubling_random_walk(
     independence_c: int = 1,
     clique: CongestedClique | None = None,
     transition=None,
-    rng_contract: str = "v2",
 ) -> DoublingResult:
     """Run (load-balanced) Doubling to build walks of length >= tau.
 
@@ -153,10 +144,6 @@ def doubling_random_walk(
     transition:
         Optional pre-built walk matrix in any linalg-backend format
         (dense or CSR); ``None`` builds the dense one from the graph.
-    rng_contract:
-        ``"v2"`` (default) draws the initial length-1 walks from one
-        uniform block; ``"v1"`` keeps the per-vertex ``choice`` stream
-        of earlier releases (needed to reproduce pre-v2 seeded runs).
 
     Returns
     -------
@@ -176,7 +163,7 @@ def doubling_random_walk(
 
     k = 1 << max(0, math.ceil(math.log2(tau)))
     eta = 1
-    walks = _initial_walks(graph, k, rng, transition, rng_contract=rng_contract)
+    walks = _initial_walks(graph, k, rng, transition)
     iterations: list[IterationStats] = []
     rounds_before = ledger.total_rounds()
 

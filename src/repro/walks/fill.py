@@ -20,6 +20,10 @@ Bayes/Markov two-sided law of Formula (1):
 
 The truncated variant re-truncates after every level so the walk always
 ends at the first occurrence of its rho-th distinct vertex (Lemma 2).
+
+These references take no placement plan: every gap draws from its own
+freshly computed law. The distributed phase's plan-backed level fill
+(its Section 5.2 fallback) lives in :mod:`repro.core.phase`.
 """
 
 from __future__ import annotations
@@ -92,8 +96,6 @@ def sample_midpoint(
     rng: np.random.Generator,
     *,
     count: int = 1,
-    plan=None,
-    level: int | None = None,
 ) -> list[int]:
     """Sample ``count`` i.i.d. midpoints between (p, q) (Formula 1).
 
@@ -102,28 +104,16 @@ def sample_midpoint(
     unnormalized law over v is ``half_power[p, v] * half_power[v, q]``.
     Raises :class:`WalkError` when the two-step return probability
     ``P^{delta}[p, q]`` is zero (such a gap cannot exist in a genuine
-    walk). ``plan``/``level`` optionally serve the law from a
-    :class:`~repro.core.placement_plan.PlacementPlan` memo -- the cached
-    vector is bit-equal to recomputation, so draws match either way.
+    walk).
     """
-    if plan is not None and level is not None:
-        # The plan memoizes the normalized law alongside the raw one, so
-        # repeat visitors skip the O(n) divide (bit-equal either way).
-        probabilities, total = plan.probabilities(level, p, q, half_power)
-        if total <= 0:
-            raise WalkError(
-                f"no vertex can be the midpoint between {p} and {q}: "
-                "inconsistent partial walk"
-            )
-    else:
-        distribution = matrix_row(half_power, p) * matrix_col(half_power, q)
-        total = distribution.sum()
-        if total <= 0:
-            raise WalkError(
-                f"no vertex can be the midpoint between {p} and {q}: "
-                "inconsistent partial walk"
-            )
-        probabilities = distribution / total
+    distribution = matrix_row(half_power, p) * matrix_col(half_power, q)
+    total = distribution.sum()
+    if total <= 0:
+        raise WalkError(
+            f"no vertex can be the midpoint between {p} and {q}: "
+            "inconsistent partial walk"
+        )
+    probabilities = distribution / total
     draws = rng.choice(len(probabilities), size=count, p=probabilities)
     return [int(v) for v in draws]
 
@@ -132,45 +122,13 @@ def _fill_level(
     walk: PartialWalk,
     half_power,
     rng: np.random.Generator,
-    *,
-    plan=None,
-    level: int | None = None,
-    contract: str = "v1",
 ) -> PartialWalk:
-    """Insert one midpoint into every gap, halving the spacing.
-
-    Under ``contract="v2"`` the level consumes one uniform block (one
-    generator invocation for all gaps) and resolves each gap by
-    ``searchsorted`` against its cumulative law from ``plan`` (the
-    distributed phase's Section 5.2 fallback, which always has one);
-    ``"v1"`` keeps the per-gap ``rng.choice`` bit-stream of the
-    sequential reference, with or without a plan.
-    """
+    """Insert one midpoint into every gap, halving the spacing."""
     if walk.spacing % 2 != 0:
         raise WalkError(f"cannot halve odd spacing {walk.spacing}")
-    pairs = walk.pairs()
-    if contract == "v2":
-        cdfs: list[np.ndarray] = []
-        for p, q in pairs:
-            cdf, total = plan.cdf(level, p, q, half_power)
-            if total <= 0:
-                raise WalkError(
-                    f"no vertex can be the midpoint between {p} and {q}: "
-                    "inconsistent partial walk"
-                )
-            cdfs.append(cdf)
-        block = rng.random(len(pairs)) if pairs else ()
-        new_vertices = [walk.vertices[0]]
-        for (__, q), cdf, u in zip(pairs, cdfs, block):
-            midpoint = int(cdf.searchsorted(u * cdf[-1], "right"))
-            new_vertices.append(min(midpoint, len(cdf) - 1))
-            new_vertices.append(q)
-        return PartialWalk(walk.spacing // 2, new_vertices)
     new_vertices = [walk.vertices[0]]
-    for p, q in pairs:
-        midpoint = sample_midpoint(
-            half_power, p, q, rng, plan=plan, level=level
-        )[0]
+    for p, q in walk.pairs():
+        midpoint = sample_midpoint(half_power, p, q, rng)[0]
         new_vertices.append(midpoint)
         new_vertices.append(q)
     return PartialWalk(walk.spacing // 2, new_vertices)

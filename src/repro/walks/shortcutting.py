@@ -69,11 +69,9 @@ class ShortcuttingSampler:
         The walk itself only reads rows through the format-agnostic
         accessors, so both backends draw identical trees for the same
         seed.
-    rng_contract:
-        ``"v2"`` (default) draws each phase's first-visit edges from one
-        uniform block resolved against per-edge CDFs; ``"v1"`` keeps the
-        per-edge ``choice`` stream of earlier releases. The step loop is
-        inverse-CDF under both contracts (it always was).
+
+    Each phase's first-visit edges are drawn from one uniform block
+    resolved against per-edge CDFs; the step loop is inverse-CDF too.
     """
 
     def __init__(
@@ -83,7 +81,6 @@ class ShortcuttingSampler:
         rho: int | None = None,
         start_vertex: int = 0,
         linalg_backend: str = "dense",
-        rng_contract: str = "v2",
     ) -> None:
         graph.require_connected()
         if graph.n < 2:
@@ -92,13 +89,10 @@ class ShortcuttingSampler:
             raise GraphError(f"rho must be >= 2, got {rho}")
         if not (0 <= start_vertex < graph.n):
             raise GraphError(f"start vertex {start_vertex} out of range")
-        if rng_contract not in ("v2", "v1"):
-            raise GraphError(f"unknown rng contract {rng_contract!r}")
         self.linalg = make_linalg_backend(linalg_backend)
         self.graph = graph
         self.rho = rho if rho is not None else max(2, math.isqrt(graph.n))
         self.start_vertex = start_vertex
-        self.rng_contract = rng_contract
 
     def sample(self, rng: np.random.Generator | None = None) -> ShortcuttingResult:
         """Sample one tree; returns step-budget diagnostics as well."""
@@ -160,29 +154,19 @@ class ShortcuttingSampler:
                     continue
                 harvested.add(v)
                 steps.append((walk_orig[position - 1], v))
-            if self.rng_contract == "v2" and steps:
-                # Block contract: one uniform vector covers every
-                # first-visit edge the phase harvests.
-                uniforms = rng.random(len(steps))
-                for (prev, v), uniform in zip(steps, uniforms):
-                    neighbors, law = first_visit_edge_distribution(
-                        graph, subset, shortcut, prev, v
-                    )
-                    fv_cdf = np.cumsum(law)
-                    index = int(
-                        fv_cdf.searchsorted(uniform * fv_cdf[-1], "right")
-                    )
-                    u = int(neighbors[min(index, len(fv_cdf) - 1)])
-                    edges.append((u, v))
-            else:
-                for prev, v in steps:
-                    neighbors, law = first_visit_edge_distribution(
-                        graph, subset, shortcut, prev, v
-                    )
-                    u = int(
-                        neighbors[int(rng.choice(len(neighbors), p=law))]
-                    )
-                    edges.append((u, v))
+            # One uniform vector covers every first-visit edge the
+            # phase harvests.
+            uniforms = rng.random(len(steps)) if steps else ()
+            for (prev, v), uniform in zip(steps, uniforms):
+                neighbors, law = first_visit_edge_distribution(
+                    graph, subset, shortcut, prev, v
+                )
+                fv_cdf = np.cumsum(law)
+                index = int(
+                    fv_cdf.searchsorted(uniform * fv_cdf[-1], "right")
+                )
+                u = int(neighbors[min(index, len(fv_cdf) - 1)])
+                edges.append((u, v))
             visited.update(walk_orig)
             current = walk_orig[-1]
 

@@ -86,6 +86,38 @@ class TestSessionLifecycle:
         assert bill.fastcover_rounds > 0
         assert response.meta["m"] == 6
 
+    @pytest.mark.parametrize(
+        "family,n,matmul,expected",
+        [
+            ("wheel", 12, "analytic", dict(
+                approximate_rounds=1938, approximate_phases=6,
+                exact_rounds=3497, exact_phases=11,
+                fastcover_rounds=1433, fastcover_walk_length=256,
+                broadcast_rounds=684, broadcast_phases=1,
+            )),
+            # Broadcast cannot run under simulated-3d: its columns stay 0.
+            ("cycle", 8, "simulated-3d", dict(
+                approximate_rounds=1920, approximate_phases=7,
+                exact_rounds=2009, exact_phases=7,
+                fastcover_rounds=1410, fastcover_walk_length=256,
+                broadcast_rounds=0, broadcast_phases=0,
+            )),
+        ],
+        ids=["wheel-analytic", "cycle-simulated-3d"],
+    )
+    def test_roundbill_golden(self, family, n, matmul, expected):
+        """A pinned-seed bill: every registry variant draws from one
+        stream in registry order, so the columns depend on that order."""
+        from repro.api.responses import RoundBillReport
+        from repro.graphs.families import build_family
+
+        graph, __ = build_family(family, n, np.random.default_rng(7))
+        config = preset_config(CONFIG, matmul_backend=matmul)
+        report = Session(graph, config, seed=0).run(
+            RoundBillRequest(seed=7)
+        ).result
+        assert report == RoundBillReport(**expected)
+
     def test_audit_uniform_on_cycle(self, session):
         response = session.run(AuditRequest(samples=100, seed=2))
         assert response.result.spanning_trees == 6

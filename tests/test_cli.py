@@ -59,8 +59,7 @@ class TestSampleCommand:
     def test_json_golden(self, capsys):
         """Golden test: the --json envelope for a pinned seed/instance.
 
-        Regenerated once for the v2 RNG contract (see tests/README.md);
-        the v1 bit stream remains pinned via --rng-contract v1 below.
+        Regenerated once for the v2 RNG contract (see tests/README.md).
         """
         code = main([
             "sample", "--family", "cycle", "--n", "6", "--json",
@@ -80,22 +79,6 @@ class TestSampleCommand:
             [0, 5], [1, 2], [2, 3], [3, 4], [4, 5]
         ]
         assert payload["result"]["rounds"] == 1110
-        assert payload["result"]["phases"] == 5
-
-    def test_json_golden_v1_contract(self, capsys):
-        """The pre-v2 bit stream stays reachable: --rng-contract v1
-        reproduces the exact envelope pinned before the contract change."""
-        code = main([
-            "sample", "--family", "cycle", "--n", "6", "--json",
-            "--seed", "0", "--ell", "1024", "--rng-contract", "v1",
-        ])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["meta"]["rng_contract"] == "v1"
-        assert payload["result"]["tree"] == [
-            [0, 5], [1, 2], [2, 3], [3, 4], [4, 5]
-        ]
-        assert payload["result"]["rounds"] == 1111
         assert payload["result"]["phases"] == 5
 
     def test_deterministic_given_seed(self, capsys):
@@ -263,6 +246,16 @@ class TestRngContractFlag:
         with pytest.raises(SystemExit):
             main(["sample", "--family", "cycle", "--n", "6",
                   "--rng-contract", "v3"])
+
+    def test_retired_flag_exits_2(self, capsys):
+        """``--rng-contract`` is retired: argparse rejects the flag with
+        exit status 2, even naming the contract that was the default."""
+        for value in ("v1", "v2"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["sample", "--family", "cycle", "--n", "6",
+                      "--rng-contract", value])
+            assert excinfo.value.code == 2
+        assert "--rng-contract" in capsys.readouterr().err
 
 
 class TestCacheCommand:

@@ -211,14 +211,12 @@ class TestCacheBehavior:
     def test_fingerprint_excludes_exactly_the_non_numerics_fields(self):
         """Every config field is either fingerprinted or non-numerics.
 
-        The exclusion set is cache sizing/location knobs plus
-        rng_contract -- which generator bits resolve each walk-layer
-        decision, never the bytes of the phase numerics -- so v1 and v2
-        sessions share one cache entry per subset.
+        The exclusion set is exactly the cache sizing/location knobs:
+        they change which entries are kept, never the bytes inside them.
         """
         from dataclasses import fields
 
-        from repro.engine.cache import NON_NUMERICS_FIELDS, config_fingerprint
+        from repro.engine.cache import CACHE_BEHAVIOR_FIELDS, config_fingerprint
 
         config = SamplerConfig(ell=1 << 9)
         fingerprint = config_fingerprint(
@@ -226,7 +224,7 @@ class TestCacheBehavior:
         )
         for field in fields(config):
             appears = f"'{field.name}'" in fingerprint
-            if field.name in NON_NUMERICS_FIELDS:
+            if field.name in CACHE_BEHAVIOR_FIELDS:
                 assert not appears, field.name
             else:
                 assert appears, field.name

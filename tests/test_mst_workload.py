@@ -3,8 +3,8 @@
 The distributed MST runner and the sequential Kruskal oracle share the
 ``(weight, edge index)`` total order, under which the minimum spanning
 forest is *unique* -- so the gate is exact edge-set AND byte-exact
-weight equality, never a tolerance, on every registered graph family,
-both recipes, and both RNG contracts:
+weight equality, never a tolerance, on every registered graph family
+and both recipes:
 
 - **unique-weight instances** (``weights="random"``: i.i.d. uniform
   draws, distinct with probability 1): exact forest + weight equality
@@ -16,9 +16,7 @@ both recipes, and both RNG contracts:
   must still be byte-exact -- the tie-robust invariant;
 - **round bills**: ledger totals equal the closed forms in
   :mod:`repro.core.rounds` and land only in the recipe's registered
-  ledger categories;
-- **RNG contracts**: weights depend only on (edge order, mode, seed),
-  so reports are byte-identical under ``rng_contract`` v1 and v2.
+  ledger categories.
 """
 
 from __future__ import annotations
@@ -164,9 +162,9 @@ class TestRoundBills:
 
 
 class TestSessionGate:
-    def session(self, family="gnp", n=24, contract="v2"):
+    def session(self, family="gnp", n=24):
         graph, meta = small_graph(family, n)
-        config = preset_config("fast-bench", rng_contract=contract)
+        config = preset_config("fast-bench")
         return Session(graph, config, seed=0, meta=meta)
 
     def test_report_carries_the_oracle_verdict(self):
@@ -177,19 +175,6 @@ class TestSessionGate:
         assert report.oracle_weight == report.total_weight
         assert len(report.forest) == response.meta["n"] - 1
         assert response.meta["comm_model"] == "unicast"
-
-    @pytest.mark.parametrize("recipe", MST.recipe_names())
-    @pytest.mark.parametrize("mode", MST.weight_modes)
-    def test_both_rng_contracts_report_identically(self, recipe, mode):
-        """Weights derive from (edge order, mode, seed) alone, so the
-        report is byte-identical under either randomness contract."""
-        reports = [
-            self.session(contract=contract)
-            .run(MSTRequest(recipe=recipe, weights=mode, seed=11))
-            .result
-            for contract in ("v1", "v2")
-        ]
-        assert reports[0] == reports[1]
 
     def test_pinned_seed_is_session_history_invariant(self):
         fresh = self.session().run(MSTRequest(seed=5)).result

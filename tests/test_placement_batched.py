@@ -3,15 +3,12 @@
 Three layers of guarantees, strongest first:
 
 1. **Byte identity**: for every registered graph family and both sampler
-   variants, the v1 RNG contract reproduces hardcoded seed trees
-   captured before the batched engine existed (from the since-retired
-   per-pair reference path), whether each phase runs over a cold private
-   plan or a plan warmed by earlier draws -- and the two bill identical
-   round ledgers. The plan only memoizes deterministic structure, so its
-   warmth never changes which bits a draw consumes. The v2 block
-   contract deliberately consumes different bits, so v2 is pinned to its
-   *own* golden trees, regenerated exactly once when the contract
-   shipped (see tests/README.md for the regeneration policy).
+   variants, draws reproduce hardcoded seed trees -- regenerated exactly
+   once, when the block-draw RNG contract shipped (see tests/README.md
+   for the regeneration policy) -- whether each phase runs over a cold
+   private plan or a plan warmed by earlier draws, and the two bill
+   identical round ledgers. The plan only memoizes deterministic
+   structure, so its warmth never changes which bits a draw consumes.
 2. **DP equivalence**: a prepared contingency DP sampled repeatedly
    agrees draw-for-draw with the one-shot ``sample_contingency_table``
    under matched RNG states, for every implementation choice.
@@ -44,38 +41,9 @@ from repro.matching.sampler import (
     sample_contingency_table,
 )
 
-# Seed trees drawn from the pre-batched-engine code (fast-audit config,
-# family built at n=12 with rng seed 2026, session/request seed 11).
-# rng_contract="v1" consumes the RNG exactly as that code did, so it
-# must keep producing them byte-for-byte.
-GOLDEN_SEED_TREES = {
-    ("barbell", "approximate"): ((0, 1), (0, 3), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 11), (9, 10), (10, 11)),
-    ("bipartite", "approximate"): ((0, 9), (1, 10), (2, 11), (3, 9), (4, 9), (4, 10), (5, 10), (6, 9), (7, 9), (7, 11), (8, 11)),
-    ("complete", "approximate"): ((0, 3), (0, 7), (0, 9), (1, 10), (2, 3), (2, 10), (3, 6), (4, 6), (5, 11), (6, 8), (7, 11)),
-    ("cycle", "approximate"): ((0, 1), (0, 11), (1, 2), (2, 3), (3, 4), (4, 5), (6, 7), (7, 8), (8, 9), (9, 10), (10, 11)),
-    ("expander", "approximate"): ((0, 1), (0, 7), (0, 10), (1, 2), (1, 3), (3, 6), (4, 5), (4, 7), (7, 11), (8, 11), (9, 10)),
-    ("gnp", "approximate"): ((0, 2), (0, 4), (0, 9), (1, 7), (1, 9), (3, 10), (4, 5), (5, 11), (6, 10), (8, 9), (9, 10)),
-    ("grid", "approximate"): ((0, 1), (1, 2), (1, 5), (3, 7), (4, 8), (5, 6), (5, 9), (6, 7), (6, 10), (8, 9), (10, 11)),
-    ("lollipop", "approximate"): ((0, 1), (0, 4), (1, 3), (1, 5), (2, 4), (5, 6), (6, 7), (7, 8), (8, 9), (9, 10), (10, 11)),
-    ("path", "approximate"): ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9), (9, 10), (10, 11)),
-    ("star", "approximate"): ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (0, 9), (0, 10), (0, 11)),
-    ("wheel", "approximate"): ((0, 1), (0, 3), (0, 5), (0, 6), (0, 9), (0, 10), (1, 2), (1, 11), (4, 5), (6, 7), (7, 8)),
-    ("barbell", "exact"): ((0, 1), (0, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 10), (9, 10), (10, 11)),
-    ("bipartite", "exact"): ((0, 10), (0, 11), (1, 11), (2, 9), (2, 10), (3, 9), (4, 9), (5, 11), (6, 10), (7, 10), (8, 11)),
-    ("complete", "exact"): ((0, 1), (0, 4), (0, 8), (0, 9), (1, 6), (2, 7), (3, 7), (4, 5), (5, 11), (6, 10), (7, 8)),
-    ("cycle", "exact"): ((0, 1), (0, 11), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9), (10, 11)),
-    ("expander", "exact"): ((0, 3), (1, 2), (1, 6), (2, 3), (2, 4), (5, 10), (5, 11), (6, 8), (7, 11), (8, 9), (8, 11)),
-    ("gnp", "exact"): ((0, 2), (1, 5), (1, 9), (2, 3), (2, 4), (2, 6), (3, 5), (3, 10), (3, 11), (5, 7), (6, 8)),
-    ("grid", "exact"): ((0, 1), (1, 2), (2, 3), (2, 6), (3, 7), (4, 8), (5, 6), (5, 9), (6, 10), (7, 11), (8, 9)),
-    ("lollipop", "exact"): ((0, 1), (0, 2), (0, 5), (3, 4), (3, 5), (5, 6), (6, 7), (7, 8), (8, 9), (9, 10), (10, 11)),
-    ("path", "exact"): ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9), (9, 10), (10, 11)),
-    ("star", "exact"): ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (0, 9), (0, 10), (0, 11)),
-    ("wheel", "exact"): ((0, 5), (0, 6), (0, 7), (0, 8), (0, 9), (0, 11), (1, 2), (2, 3), (3, 4), (4, 5), (10, 11)),
-}
-
-# Seed trees for the v2 block-draw contract (same instances and seeds as
-# above, rng_contract="v2"). Regenerated
-# exactly once when the v2 contract shipped; any future edit to these
+# Seed trees for the block-draw RNG contract (fast-audit-sized ell, family
+# built at n=12 with rng seed 2026, engine seed 11). Regenerated exactly
+# once when that contract shipped as "v2"; any future edit to these
 # values is a contract break and needs the tests/README.md sign-off.
 GOLDEN_SEED_TREES_V2 = {
     ("barbell", "approximate"): ((0, 1), (1, 2), (1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9), (9, 11), (10, 11)),
@@ -103,7 +71,7 @@ GOLDEN_SEED_TREES_V2 = {
 }
 
 
-def _draw(family: str, variant: str, contract: str, *, warm: bool = False):
+def _draw(family: str, variant: str, *, warm: bool = False):
     """One seed-11 draw on the n=12 family instance.
 
     ``warm=False`` disables the derived-graph cache, so every phase runs
@@ -111,9 +79,7 @@ def _draw(family: str, variant: str, contract: str, *, warm: bool = False):
     another seed so phase 1's shared plan is already populated.
     """
     graph, __ = build_family(family, 12, np.random.default_rng(2026))
-    config = SamplerConfig(
-        ell=1 << 10, rng_contract=contract, derived_cache=warm
-    )
+    config = SamplerConfig(ell=1 << 10, derived_cache=warm)
     engine = SamplerEngine(graph, config, variant=variant)
     if warm:
         engine.run(np.random.default_rng(5))
@@ -124,47 +90,40 @@ class TestByteIdentity:
     """Cold plan == warm plan == seed, tree by tree and round by round."""
 
     @pytest.mark.parametrize(
-        "family,variant", sorted(GOLDEN_SEED_TREES), ids=lambda v: str(v)
+        "family,variant", sorted(GOLDEN_SEED_TREES_V2), ids=lambda v: str(v)
     )
-    def test_reference_mode_reproduces_seed_trees(self, family, variant):
-        """The seed trees came from the retired reference mode; v1 over
-        cold private plans (no memo carried between phases or draws)
-        must still reproduce them."""
-        result = _draw(family, variant, "v1")
-        assert result.tree == GOLDEN_SEED_TREES[(family, variant)]
+    def test_batched_v2_reproduces_v2_seed_trees(self, family, variant):
+        result = _draw(family, variant)
+        assert result.tree == GOLDEN_SEED_TREES_V2[(family, variant)]
 
     @pytest.mark.parametrize(
-        "family,variant", sorted(GOLDEN_SEED_TREES), ids=lambda v: str(v)
+        "family,variant", sorted(GOLDEN_SEED_TREES_V2), ids=lambda v: str(v)
     )
-    def test_batched_v1_matches_reference(self, family, variant):
+    def test_warm_plan_reproduces_v2_seed_trees(self, family, variant):
         """A plan warmed by an earlier draw reproduces the cold-plan
         draw: same seed tree, same round bill by category."""
-        warm = _draw(family, variant, "v1", warm=True)
-        cold = _draw(family, variant, "v1")
+        warm = _draw(family, variant, warm=True)
+        cold = _draw(family, variant)
         assert warm.tree == cold.tree
         assert warm.rounds == cold.rounds
         assert (
             warm.ledger.rounds_by_category()
             == cold.ledger.rounds_by_category()
         )
-        assert warm.tree == GOLDEN_SEED_TREES[(family, variant)]
+        assert warm.tree == GOLDEN_SEED_TREES_V2[(family, variant)]
 
+    # The ids keep the "-v2" suffix of the retired RNG-contract axis, so
+    # test ids stay stable.
     @pytest.mark.parametrize(
-        "family,variant", sorted(GOLDEN_SEED_TREES_V2), ids=lambda v: str(v)
+        "variant", ["approximate", "broadcast"], ids=lambda v: f"{v}-v2"
     )
-    def test_batched_v2_reproduces_v2_seed_trees(self, family, variant):
-        result = _draw(family, variant, "v2")
-        assert result.tree == GOLDEN_SEED_TREES_V2[(family, variant)]
-
-    @pytest.mark.parametrize("contract", ["v1", "v2"])
-    @pytest.mark.parametrize("variant", ["approximate", "broadcast"])
-    def test_draws_independent_of_plan_warmth(self, contract, variant):
+    def test_draws_independent_of_plan_warmth(self, variant):
         """A warm plan must never change which bits a draw consumes:
         the k-th draw from a long-lived engine equals the k-th draw from
         a fresh engine fed the identical generator state, tree and round
         bill alike."""
         graph = graphs.complete_graph(10)
-        config = SamplerConfig(ell=1 << 8, rng_contract=contract)
+        config = SamplerConfig(ell=1 << 8)
 
         def outcome(result):
             return result.tree, result.ledger.rounds_by_category()
@@ -222,11 +181,7 @@ class TestPreparedDPEquivalence:
                     np.random.default_rng(seed),
                     implementation=implementation,
                 )
-                repeat = (
-                    prepared.sample(np.random.default_rng(seed))
-                    if prepared.consumes_rng
-                    else prepared.sample()
-                )
+                repeat = prepared.sample(np.random.default_rng(seed))
                 assert np.array_equal(one_shot, repeat), (
                     implementation,
                     seed,
@@ -731,9 +686,9 @@ class TestSessionSurface:
 
         graph = graphs.cycle_graph(8)
         response = Session(
-            graph, preset_config("fast-audit", rng_contract="v1"), seed=0
+            graph, preset_config("fast-audit"), seed=0
         ).run(SampleRequest(seed=0))
-        assert response.meta["rng_contract"] == "v1"
+        assert response.meta["rng_contract"] == "v2"
         assert "placement_mode" not in response.meta
 
     def test_unknown_placement_mode_rejected(self):

@@ -8,13 +8,13 @@ Covers the failure surfaces the batched rewrite must preserve:
 - degenerate single-class instances take the closed-form path (no
   randomness) and still reject infeasible weights;
 - the ``_DP_STATE_BUDGET`` guard falls back to the Appendix 5.3
-  per-pair-multiset placement -- same law, tested end to end under both
-  RNG contracts (previously untested);
+  per-pair-multiset placement -- same law, tested end to end
+  (previously untested);
 - the int64 mixed-radix overflow guard in the vectorized DP falls back
   to the reference recursion (previously untested);
 - the Section 5.2 precision floor still aborts into the brute-force
   sequential fill identically over cold and warm plans (exercising the
-  plan-aware ``_fill_level`` path).
+  plan-backed ``repro.core.phase._fill_level`` path).
 """
 
 from __future__ import annotations
@@ -110,8 +110,12 @@ class TestDegenerateSingleClassInstances:
         table = sample_contingency_table(instance, np.random.default_rng(0))
         assert table.tolist() == [[2], [1], [4]]
         prepared = prepare_contingency_dp(instance)
-        assert not prepared.consumes_rng
         assert prepared.sample().tolist() == [[2], [1], [4]]
+        # The forced table consumes no randomness.
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert prepared.sample(rng).tolist() == [[2], [1], [4]]
+        assert rng.bit_generator.state == state
 
     def test_single_row_class_is_forced(self):
         instance = ClassifiedBipartite(
@@ -137,15 +141,11 @@ class TestDegenerateSingleClassInstances:
         with pytest.raises(MatchingError, match="permanent is zero"):
             sample_contingency_table(instance, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("contract", ["v1", "v2"])
-    def test_degenerate_single_pair_phase_end_to_end(self, contract):
+    def test_degenerate_single_pair_phase_end_to_end(self):
         """A 2-path's phases put every midpoint position in one pair
-        class -- the trivial-table path end to end, under both
-        contracts."""
+        class -- the trivial-table path end to end."""
         graph = graphs.path_graph(2)
-        engine = SamplerEngine(
-            graph, SamplerConfig(ell=1 << 4, rng_contract=contract)
-        )
+        engine = SamplerEngine(graph, SamplerConfig(ell=1 << 4))
         result = engine.run(np.random.default_rng(0))
         assert is_spanning_tree(graph, result.tree)
 
@@ -160,18 +160,15 @@ class TestStateBudgetFallback:
         estimate = _dp_cost_estimate(huge, [1, 3, 5])
         assert estimate > 1e18  # saturated, not overflowed
 
-    @pytest.mark.parametrize("contract", ["v1", "v2"])
-    def test_budget_fallback_draws_valid_trees(self, contract, monkeypatch):
+    def test_budget_fallback_draws_valid_trees(self, monkeypatch):
         """With the budget forced to 1 every placement takes the
-        Appendix 5.3 per-pair path; trees stay valid under both
-        contracts (the fallback sits before any plan involvement)."""
+        Appendix 5.3 per-pair path; trees stay valid (the fallback sits
+        before any plan involvement)."""
         import repro.core.placement as placement
 
         monkeypatch.setattr(placement, "_DP_STATE_BUDGET", 1)
         graph = graphs.complete_graph(8)
-        engine = SamplerEngine(
-            graph, SamplerConfig(ell=1 << 6, rng_contract=contract)
-        )
+        engine = SamplerEngine(graph, SamplerConfig(ell=1 << 6))
         rng = np.random.default_rng(5)
         trees = [engine.run(rng).tree for __ in range(4)]
         for tree in trees:
@@ -229,17 +226,14 @@ class TestRadixOverflowFallback:
 class TestPrecisionFloorFallback:
     def test_brute_force_fallback_matches_across_modes(self):
         """An absurd normalizer floor forces the Section 5.2 brute-force
-        sequential fill (the plan-aware _fill_level path). A cold
+        sequential fill (the plan-backed phase _fill_level path). A cold
         private plan per phase (cache off) and a plan warmed by earlier
-        draws must still draw the same valid tree. Pinned to the v1
-        contract, whose fallback rerun consumes the generator where the
-        aborted level left it."""
+        draws must still draw the same valid tree."""
         graph = graphs.complete_graph(6)
         trees = {}
         for warm in (False, True):
             config = SamplerConfig(
                 ell=1 << 6,
-                rng_contract="v1",
                 derived_cache=warm,
                 normalizer_floor_exponent=0.001,  # floor ~ 1: always trips
             )
@@ -255,14 +249,13 @@ class TestPrecisionFloorFallback:
         assert trees[False] == trees[True]
 
     def test_brute_force_fallback_under_v2(self):
-        """The same floor trips under the v2 block contract: the
-        PrecisionError must surface *before* any randomness is consumed
-        (the bank validates every pair's normalizer first), so the
-        fallback rerun still draws a valid tree."""
+        """The same floor trips under block draws: the PrecisionError
+        must surface *before* any randomness is consumed (the bank
+        validates every pair's normalizer first), so the fallback rerun
+        still draws a valid tree across seeds."""
         graph = graphs.complete_graph(6)
         config = SamplerConfig(
             ell=1 << 6,
-            rng_contract="v2",
             normalizer_floor_exponent=0.001,
         )
         engine = SamplerEngine(graph, config)

@@ -1,19 +1,22 @@
-"""The v2 batched-randomness contract: accounting, determinism, hygiene.
+"""The walk layer's block-draw RNG contract: accounting, determinism, hygiene.
 
-The v2 contract replaces per-decision ``rng.choice(p=...)`` calls with
-one uniform block per level (and per DP layer) resolved by
-``searchsorted`` against precomputed CDFs. Its load-bearing properties:
+The walk layer draws one uniform block per level (and per DP table,
+expansion and first-visit group) and resolves every decision by
+``searchsorted`` against precomputed CDFs; no per-decision
+``rng.choice(p=...)`` or ``rng.permutation`` call survives. The
+contract (the "v2" that responses still report) is the only one; its
+load-bearing properties:
 
-1. **Stream accounting** -- a v2 draw makes O(levels + DP layers)
-   generator invocations, not O(pairs + columns): the whole point of the
-   contract. Counted with an instrumented ``Generator`` subclass.
-2. **Determinism** -- v2 draws are byte-identical across ensemble
+1. **Stream accounting** -- a draw makes O(levels + DP layers)
+   generator invocations, not O(pairs + columns), and none of them is a
+   per-decision ``choice`` / ``permutation``. Counted with an
+   instrumented ``Generator`` subclass.
+2. **Determinism** -- draws are byte-identical across ensemble
    job counts, cache tiers (cold / warm-memory / warm-disk), linalg
    backends, and plan warmth. The bits consumed depend only on the
    (seed, config numerics) pair, never on how the plan was populated.
-3. **Normalize-once** -- plan-served laws are divided (v1) or cumsummed
-   (v2) exactly once and memoized; the old per-draw renormalization on
-   the hot path is pinned out.
+3. **Cumsum-once** -- plan-served laws are cumsummed exactly once and
+   memoized; no per-draw renormalization runs on the hot path.
 4. **DP-seed persistence** -- the hottest prepared-DP CDF tables ride
    plan.npz to disk, and a restarted process serves its first block
    draws from the seeded memo without rebuilding the DP.
@@ -34,93 +37,88 @@ from repro.errors import ConfigError
 
 
 class CountingGenerator(np.random.Generator):
-    """A Generator that counts its own invocations (any drawing method)."""
+    """A Generator that counts its own invocations, in total and per
+    drawing method."""
 
     def __init__(self, seed):
         super().__init__(np.random.PCG64(seed))
         self.calls = 0
+        self.by_method: dict[str, int] = {}
+
+    def _count(self, method: str) -> None:
+        self.calls += 1
+        self.by_method[method] = self.by_method.get(method, 0) + 1
 
     def random(self, *args, **kwargs):
-        self.calls += 1
+        self._count("random")
         return super().random(*args, **kwargs)
 
     def choice(self, *args, **kwargs):
-        self.calls += 1
+        self._count("choice")
         return super().choice(*args, **kwargs)
 
     def permutation(self, *args, **kwargs):
-        self.calls += 1
+        self._count("permutation")
         return super().permutation(*args, **kwargs)
 
     def integers(self, *args, **kwargs):
-        self.calls += 1
+        self._count("integers")
         return super().integers(*args, **kwargs)
 
 
 class TestConfigSurface:
     def test_default_is_v2(self):
-        assert SamplerConfig().rng_contract == "v2"
+        """The block-draw ("v2") contract is the only one: no config
+        field selects another (responses still report it; see
+        test_meta_reports_contract_not_placement_mode)."""
+        from dataclasses import fields
 
-    def test_explicit_v1_stays_v1(self):
-        config = SamplerConfig(rng_contract="v1")
-        assert config.rng_contract == "v1"
+        assert "rng_contract" not in {f.name for f in fields(SamplerConfig)}
 
     def test_unknown_contract_rejected(self):
-        with pytest.raises(ConfigError, match="rng contract"):
-            SamplerConfig(rng_contract="v3")
+        """rng_contract is retired: naming it, with any value, fails
+        loudly instead of being silently ignored."""
+        from repro.api import preset_config
 
-    def test_contract_excluded_from_numerics_fingerprint(self):
-        """v1 and v2 sessions share numerics cache entries: the contract
-        changes which bits the walk layer consumes, never the derived
-        graphs."""
-        from repro.engine.cache import NON_NUMERICS_FIELDS, config_fingerprint
-
-        assert "rng_contract" in NON_NUMERICS_FIELDS
-        v1 = config_fingerprint(
-            SamplerConfig(rng_contract="v1"),
-            resolved_ell=1 << 8,
-            linalg_backend="dense",
-        )
-        v2 = config_fingerprint(
-            SamplerConfig(rng_contract="v2"),
-            resolved_ell=1 << 8,
-            linalg_backend="dense",
-        )
-        assert v1 == v2
+        for value in ("v1", "v2", "v3"):
+            with pytest.raises(
+                ConfigError, match=r"unknown config field\(s\).*rng_contract"
+            ):
+                preset_config("fast-audit", rng_contract=value)
+        with pytest.raises(TypeError):
+            SamplerConfig(rng_contract="v1")
 
 
 class TestStreamAccounting:
-    """v2 invocation counts scale with levels, not pairs or columns."""
+    """Invocation counts scale with levels, not pairs or columns."""
 
-    def _count(self, contract: str) -> tuple[int, int]:
+    def _count(self, variant: str) -> tuple[CountingGenerator, int]:
         graph = graphs.complete_graph(16)
-        config = SamplerConfig(ell=1 << 8, rng_contract=contract)
-        engine = SamplerEngine(graph, config)
+        config = SamplerConfig(ell=1 << 8)
+        engine = SamplerEngine(graph, config, variant=variant)
         engine.run(np.random.default_rng(0))  # warm the plan first
         rng = CountingGenerator(1)
         result = engine.run(rng)
-        return rng.calls, result.phases
+        return rng, result.phases
 
-    def test_v2_is_block_scaled_v1_is_decision_scaled(self):
-        v1_calls, __ = self._count("v1")
-        v2_calls, phases = self._count("v2")
-        # Structural ceiling: per phase, the v2 walk layer draws one
-        # block per level for the midpoint bank, at most three blocks
-        # per level for placement (DP table + expansion + multiset
-        # shuffle), one end-vertex uniform, and one first-visit block
-        # (measured 87 calls against a 240 ceiling at these sizes).
+    @pytest.mark.parametrize("variant", ["approximate", "exact"])
+    def test_block_scaled_with_no_per_decision_draws(self, variant):
+        rng, phases = self._count(variant)
+        # Structural ceiling: per phase, the walk layer draws one block
+        # per level for the midpoint bank, at most three blocks per
+        # level for placement (DP table + expansion + multiset shuffle),
+        # one end-vertex uniform, and one first-visit block (measured
+        # 87 calls against a 240 ceiling for the approximate variant).
         levels = int(math.log2(1 << 8)) + 2
-        assert v2_calls <= phases * (4 * levels + 8)
-        # ...and the old contract pays per decision: the gap is the
-        # speedup's source, so pin it wide (measured ~4.5x here).
-        assert 3 * v2_calls < v1_calls
+        assert rng.calls <= phases * (4 * levels + 8)
+        # No decision is drawn on its own: every call is a uniform block.
+        assert rng.by_method.get("choice", 0) == 0
+        assert rng.by_method.get("permutation", 0) == 0
 
     def test_v2_counts_stable_across_warm_draws(self):
         """Plan warmth changes invocation counts by nothing at all."""
         graph = graphs.complete_graph(16)
-        engine = SamplerEngine(
-            graph, SamplerConfig(ell=1 << 8, rng_contract="v2")
-        )
+        engine = SamplerEngine(graph, SamplerConfig(ell=1 << 8))
         counts = []
         for seed in range(3):
             rng = CountingGenerator(seed)
@@ -141,7 +139,6 @@ class TestV2Determinism:
         config = preset_config(
             "fast-bench", ell=1 << 8, cache_dir=str(tmp_path)
         )
-        assert config.rng_contract == "v2"
         parallel = Session(graph, config, seed=0).run(
             EnsembleRequest(count=4, seed=5, jobs=2)
         )
@@ -178,9 +175,7 @@ class TestV2Determinism:
         graph, __ = build_family(family, 20, np.random.default_rng(5))
         trees = {}
         for backend in ("dense", "sparse"):
-            config = SamplerConfig(
-                ell=1 << 8, rng_contract="v2", linalg_backend=backend
-            )
+            config = SamplerConfig(ell=1 << 8, linalg_backend=backend)
             engine = SamplerEngine(graph, config)
             rng = np.random.default_rng(11)
             results = [engine.run(rng) for __ in range(3)]
@@ -193,21 +188,11 @@ class TestV2Determinism:
 
 
 class TestNormalizeOnce:
-    """Plan laws normalize (v1) or cumsum (v2) exactly once, ever."""
+    """Plan laws are cumsummed exactly once, ever."""
 
     @staticmethod
     def _half(n=6, seed=3):
         return np.random.default_rng(seed).uniform(0.01, 1.0, size=(n, n))
-
-    def test_probabilities_memoized(self):
-        plan = PlacementPlan()
-        half = self._half()
-        first, total1 = plan.probabilities(3, 0, 1, half)
-        second, total2 = plan.probabilities(3, 0, 1, half)
-        assert second is first  # the divide ran exactly once
-        assert total1 == total2
-        law, total = plan.law(3, 0, 1, half)
-        np.testing.assert_array_equal(first, law / total)
 
     def test_cdf_memoized_and_unnormalized(self):
         plan = PlacementPlan()
@@ -217,42 +202,14 @@ class TestNormalizeOnce:
         assert second is first  # the cumsum ran exactly once
         law, law_total = plan.law(3, 0, 1, half)
         np.testing.assert_array_equal(first, np.cumsum(law))
-        assert total == law_total  # the Section 5.2 floor sees v1's float
+        assert total == law_total  # the Section 5.2 floor sees the law's sum
 
     def test_derived_memos_evict_with_their_law(self):
         plan = PlacementPlan(max_laws=1)
         half = self._half()
-        plan.probabilities(1, 0, 1, half)
         plan.cdf(1, 0, 1, half)
         plan.law(1, 0, 2, half)  # evicts (1, 0, 1)
-        assert (1, 0, 1) not in plan._probabilities
         assert (1, 0, 1) not in plan._cdfs
-
-    def test_sample_midpoint_shares_one_normalization(self):
-        """The fill hot path (sampler draw after draw over one plan)
-        reuses the single cached normalized vector -- the per-draw
-        renormalization regression this pins out."""
-        from repro.walks.fill import sample_midpoint
-
-        plan = PlacementPlan()
-        half = self._half()
-        rng = np.random.default_rng(0)
-        sample_midpoint(half, 0, 1, rng, count=3, plan=plan, level=2)
-        cached = plan._probabilities[(2, 0, 1)]
-        sample_midpoint(half, 0, 1, rng, count=3, plan=plan, level=2)
-        assert plan._probabilities[(2, 0, 1)] is cached
-        assert plan.law_hits >= 1
-
-    def test_unnormalized_input_normalizes_exactly_once(self):
-        """An unnormalized law (sum far from 1) yields correctly scaled
-        probabilities from the memo -- not a double divide, not none."""
-        plan = PlacementPlan()
-        half = self._half() * 37.0  # wildly unnormalized
-        probabilities, total = plan.probabilities(2, 1, 4, half)
-        assert abs(probabilities.sum() - 1.0) < 1e-12
-        again, __ = plan.probabilities(2, 1, 4, half)
-        assert again is probabilities
-        assert abs(again.sum() - 1.0) < 1e-12  # a second divide would shrink it
 
 
 class TestDpSeedPersistence:

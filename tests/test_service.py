@@ -86,13 +86,15 @@ class TestEnvelopeValidation:
             parse_service_envelope(envelope(bogus=1), LIMITS)
 
     @pytest.mark.parametrize(
-        "field", ["schur_method", "shortcut_method", "placement_mode"]
+        "field",
+        ["schur_method", "shortcut_method", "placement_mode", "rng_contract"],
     )
     def test_retired_config_fields_rejected(self, field):
         # Both derived-graph method knobs were retired when ShortCut and
-        # Schur moved onto one kernel, and placement_mode when every
-        # phase came to run over a placement plan; old clients get the
-        # usual 400.
+        # Schur moved onto one kernel, placement_mode when every phase
+        # came to run over a placement plan, and rng_contract when block
+        # draws became the only RNG contract; old clients get the usual
+        # 400.
         with pytest.raises(ServiceError, match="unknown config field"):
             parse_service_envelope(envelope(config={field: "x"}), LIMITS)
 
@@ -431,9 +433,9 @@ class TestEndpoints:
     def test_config_overrides_flow_through(self, server):
         response = server.run(
             GRAPH, {"request": "sample", "seed": 2},
-            config={"rng_contract": "v1", "ell": 1024},
+            config={"linalg_backend": "sparse", "ell": 1024},
         )
-        assert response.meta["rng_contract"] == "v1"
+        assert response.meta["linalg_backend"] == "sparse"
 
 
 class TestAdmissionAndFaults:

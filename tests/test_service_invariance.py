@@ -10,16 +10,15 @@ direct in-process Session. One server is cold and populates the shared
 disk tier; the other warm-starts from it; invariance holding *across*
 that asymmetry is precisely the cache-correctness property.
 
-Swept over every engine variant (approximate, exact, broadcast) x both
-RNG contracts (the two axes that change how randomness is consumed),
-batch and streamed delivery. For the broadcast variant the invariant
+Swept over every engine variant (approximate, exact, broadcast), batch
+and streamed delivery. For the broadcast variant the invariant
 additionally covers ``rounds_by_category()`` carrying the
 broadcast-bandwidth category: its charges are an analytic recipe over
 seed-deterministic walk statistics, so warm and cold workers on any
 host bill identical category totals.
 
-The MST workload gets the same grid: both registered recipes x both
-RNG contracts, two servers over one cache volume, batch == stream ==
+The MST workload gets the same grid: both registered recipes, two
+servers over one cache volume, batch == stream ==
 direct local Session with byte-identical forests and identical round
 bills, plus its own kill-a-worker-mid-request chaos cell -- the
 workload registry's promise that a second workload inherits the
@@ -47,15 +46,15 @@ from tests.chaosutil import fault_env, tokens_fired
 from tests.test_service import start_server, stop_server
 
 GRAPH = {"family": "cycle", "n": 8, "seed": 0}
+# The ids keep the "-v2" suffix of the retired RNG-contract axis, so
+# test ids stay stable.
 CELLS = [
-    pytest.param(variant, contract, id=f"{variant}-{contract}")
+    pytest.param(variant, id=f"{variant}-v2")
     for variant in ("approximate", "exact", "broadcast")
-    for contract in ("v1", "v2")
 ]
 MST_CELLS = [
-    pytest.param(recipe, contract, id=f"{recipe}-{contract}")
+    pytest.param(recipe, id=f"{recipe}-v2")
     for recipe in workload_recipe_names("mst")
-    for contract in ("v1", "v2")
 ]
 
 
@@ -79,12 +78,12 @@ def server_pair(tmp_path_factory):
             stop_server(proc, expect_code=None)
 
 
-def local_draws(variant: str, contract: str):
+def local_draws(variant: str):
     task = parse_service_envelope(
         {"graph": GRAPH, "request": {"request": "sample"}}, ServiceLimits()
     )
     graph, meta = task.build_graph()
-    config = preset_config("fast-bench", ell=1024, rng_contract=contract)
+    config = preset_config("fast-bench", ell=1024)
     session = Session(graph, config, seed=0, meta=meta)
     response = session.run(
         EnsembleRequest(count=3, variant=variant, seed=99, jobs=1)
@@ -92,16 +91,14 @@ def local_draws(variant: str, contract: str):
     return response.result.results
 
 
-@pytest.mark.parametrize("variant,contract", CELLS)
-def test_two_servers_match_each_other_and_local(
-    server_pair, variant, contract
-):
+@pytest.mark.parametrize("variant", CELLS)
+def test_two_servers_match_each_other_and_local(server_pair, variant):
     request = {
         "request": "ensemble", "count": 3, "variant": variant, "seed": 99,
     }
-    overrides = {"ell": 1024, "rng_contract": contract}
+    overrides = {"ell": 1024}
 
-    local = local_draws(variant, contract)
+    local = local_draws(variant)
     server_a, server_b = server_pair
     batch_a = server_a.run(GRAPH, request, config=overrides).result.results
     batch_b = server_b.run(GRAPH, request, config=overrides).result.results
@@ -157,33 +154,30 @@ def test_second_server_warm_starts_from_shared_volume(server_pair):
         assert total_disk > 0, cache
 
 
-def local_mst(recipe: str, contract: str):
+def local_mst(recipe: str):
     """The direct in-process MSTReport the served answers must equal."""
     task = parse_service_envelope(
         {"graph": GRAPH, "request": {"request": "mst"}}, ServiceLimits()
     )
     graph, meta = task.build_graph()
-    config = preset_config("fast-bench", ell=1024, rng_contract=contract)
+    config = preset_config("fast-bench", ell=1024)
     session = Session(graph, config, seed=0, meta=meta)
     return session.run(MSTRequest(recipe=recipe, seed=99)).result
 
 
-@pytest.mark.parametrize("recipe,contract", MST_CELLS)
-def test_mst_servers_match_each_other_and_local(
-    server_pair, recipe, contract
-):
+@pytest.mark.parametrize("recipe", MST_CELLS)
+def test_mst_servers_match_each_other_and_local(server_pair, recipe):
     """MST batch == stream == local, byte-identical, both servers.
 
     The whole report is the invariant -- forest, canonical total
     weight (byte-exact float), round bill, per-category totals, and
     the oracle verdict fields -- because MST weights derive from
-    (edge order, mode, seed) alone, independent of which host answers
-    or which RNG contract its session runs.
+    (edge order, mode, seed) alone, independent of which host answers.
     """
     request = {"request": "mst", "recipe": recipe, "seed": 99}
-    overrides = {"ell": 1024, "rng_contract": contract}
+    overrides = {"ell": 1024}
 
-    reference = local_mst(recipe, contract)
+    reference = local_mst(recipe)
     assert reference.oracle_match and len(reference.forest) == 7
     server_a, server_b = server_pair
     batch_a = server_a.run(GRAPH, request, config=overrides).result
@@ -202,17 +196,15 @@ def _bill(results):
     return [(r.tree, r.rounds, r.rounds_by_category()) for r in results]
 
 
-@pytest.mark.parametrize("variant,contract", CELLS)
-def test_killed_worker_redispatch_is_byte_identical(
-    tmp_path, variant, contract
-):
+@pytest.mark.parametrize("variant", CELLS)
+def test_killed_worker_redispatch_is_byte_identical(tmp_path, variant):
     """Invariance survives a worker crash: re-dispatch changes nothing.
 
     The first shard task to run is SIGKILLed mid-draw; the supervisor
     respawns the pool and re-dispatches. Because every draw's randomness
     is pinned to its own spawned seed, the retried request must bill
     exactly what an uninterrupted in-process Session bills -- per
-    variant, per RNG contract. A crash that shifted even one draw's
+    variant. A crash that shifted even one draw's
     stream would surface here as a tree or ledger diff.
     """
     tokens = tmp_path / "tokens"
@@ -227,11 +219,11 @@ def test_killed_worker_redispatch_is_byte_identical(
             "request": "ensemble", "count": 3, "variant": variant,
             "seed": 99,
         }
-        overrides = {"ell": 1024, "rng_contract": contract}
+        overrides = {"ell": 1024}
         response = client.run(GRAPH, request, config=overrides)
         assert _bill(response.result.results) == _bill(
-            local_draws(variant, contract)
-        ), f"{variant}/{contract} diverged after crash re-dispatch"
+            local_draws(variant)
+        ), f"{variant} diverged after crash re-dispatch"
         counters = client.stats()["counters"]
         assert tokens_fired(tokens) == 1
         assert counters["worker_crashes"] == 1
@@ -261,7 +253,7 @@ def test_mst_killed_worker_redispatch_is_byte_identical(tmp_path):
         wait_until_ready(client)
         request = {"request": "mst", "recipe": "node-cc-msf", "seed": 99}
         response = client.run(GRAPH, request, config={"ell": 1024})
-        reference = local_mst("node-cc-msf", "v2")
+        reference = local_mst("node-cc-msf")
         assert response.result == reference, (
             "mst diverged after crash re-dispatch"
         )

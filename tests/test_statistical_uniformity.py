@@ -3,24 +3,23 @@
 The placement rewrite (PlacementPlan + prepared contingency DPs) changes
 the one component whose correctness is *distributional*, so these tests
 draw real ensembles and compare the empirical tree distribution against
-Kirchhoff-exact probabilities -- for both RNG contracts and both sampler
-variants. (The v2 block contract
-re-derives every decision from inverse-CDF resolution, so it is gated on
-this harness rather than on byte identity with v1 -- the two contracts
-sample the same laws from different bits.) Thresholds follow the policy
+Kirchhoff-exact probabilities -- for both sampler variants. (The
+block-draw RNG contract re-derives every decision from inverse-CDF
+resolution, so its correctness is gated on this harness, not on byte
+identity with an older bit stream.) Thresholds follow the policy
 documented in
 ``tests/statutil.py`` (fixed seeds, chi-square p-floor AND exact-TV
 noise bound).
 
 The Broadcast CC variant gets its own class: exact-law cells on three
-enumerable families under both contracts, two-sample
+enumerable families, two-sample
 homogeneity against the unicast variants, and oracle cross-validation
 (Wilson / Aldous-Broder from :mod:`repro.walks.sequential`) on a wheel
 graph past practical enumeration -- the two-sample extension of the
 harness documented in ``tests/statutil.py``.
 
 Fast cases run in tier-1; the heavier sweeps (K5's 125-tree support,
-weighted chord cycles, full contract x variant cross) carry the ``slow``
+weighted chord cycles, both variants) carry the ``slow``
 marker and are additionally gated on ``REPRO_SLOW_TESTS=1`` -- the
 nightly CI job sets it, so tier-1 wall-clock stays bounded.
 """
@@ -53,15 +52,14 @@ run_slow = pytest.mark.skipif(
 )
 
 
-# One cell per RNG contract. The ids keep the "batched-" prefix of the
-# plan-bearing engine every cell runs, so test ids stay stable.
-CONTRACTS = pytest.mark.parametrize(
-    "contract", ["v2", "v1"], ids=["batched-v2", "batched-v1"]
-)
+# One cell, whose id keeps the "batched-v2" name of the retired
+# RNG-contract axis (and of the plan-bearing engine it runs), so test ids
+# stay stable. The cell name also tags each harness label.
+CELL = pytest.mark.parametrize("cell", ["batched-v2"])
 
 
-def _config(contract: str = "v2") -> SamplerConfig:
-    return SamplerConfig(ell=FAST_ELL, rng_contract=contract)
+def _config() -> SamplerConfig:
+    return SamplerConfig(ell=FAST_ELL)
 
 
 def weighted_square() -> "graphs.WeightedGraph":
@@ -72,51 +70,51 @@ def weighted_square() -> "graphs.WeightedGraph":
 
 
 class TestTier1Uniformity:
-    """Fast cases: small supports, ~1-2k draws, both contracts."""
+    """Fast cases: small supports, ~1-2k draws."""
 
-    @CONTRACTS
-    def test_k4_approximate(self, contract):
+    @CELL
+    def test_k4_approximate(self, cell):
         graph = graphs.complete_graph(4)  # 16 spanning trees
         trees = draw_trees(
-            graph, 2000, config=_config(contract),
+            graph, 2000, config=_config(),
             variant="approximate", seed=41,
         )
         assert_matches_tree_law(
-            graph, trees, label=f"k4/approx/{contract}"
+            graph, trees, label=f"k4/approx/{cell}"
         )
 
-    @CONTRACTS
-    def test_k4_exact_variant(self, contract):
+    @CELL
+    def test_k4_exact_variant(self, cell):
         graph = graphs.complete_graph(4)
         trees = draw_trees(
-            graph, 1000, config=_config(contract), variant="exact",
+            graph, 1000, config=_config(), variant="exact",
             seed=42,
         )
         assert_matches_tree_law(
-            graph, trees, label=f"k4/exact/{contract}"
+            graph, trees, label=f"k4/exact/{cell}"
         )
 
-    @CONTRACTS
-    def test_cycle4(self, contract):
+    @CELL
+    def test_cycle4(self, cell):
         graph = graphs.cycle_graph(4)  # 4 spanning trees
         trees = draw_trees(
-            graph, 1200, config=_config(contract),
+            graph, 1200, config=_config(),
             variant="approximate", seed=43,
         )
         assert_matches_tree_law(
-            graph, trees, label=f"cycle4/{contract}"
+            graph, trees, label=f"cycle4/{cell}"
         )
 
-    @CONTRACTS
-    def test_weighted_square(self, contract):
+    @CELL
+    def test_weighted_square(self, cell):
         """Weighted input: the law is weight-proportional, not uniform."""
         graph = weighted_square()
         trees = draw_trees(
-            graph, 1500, config=_config(contract),
+            graph, 1500, config=_config(),
             variant="approximate", seed=44,
         )
         assert_matches_tree_law(
-            graph, trees, label=f"wsquare/{contract}"
+            graph, trees, label=f"wsquare/{cell}"
         )
 
 
@@ -135,21 +133,21 @@ class TestBroadcastUniformity:
     through the entire engine stack (registry dispatch, phase numerics,
     placement plans, broadcast charging), so the harness gates the
     wiring, not just the math: exact-law cells on three enumerable
-    families x both contracts, plus two-sample
+    families, plus two-sample
     cross-validation against the unicast variants and the sequential
     oracles on a wheel past practical enumeration.
     """
 
-    @CONTRACTS
+    @CELL
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_broadcast_matches_exact_law(self, family, contract):
+    def test_broadcast_matches_exact_law(self, family, cell):
         graph = FAMILIES[family]()
         trees = draw_trees(
-            graph, 1500, config=_config(contract),
+            graph, 1500, config=_config(),
             variant="broadcast", seed=48,
         )
         assert_matches_tree_law(
-            graph, trees, label=f"{family}/broadcast/{contract}"
+            graph, trees, label=f"{family}/broadcast/{cell}"
         )
 
     @pytest.mark.parametrize("variant", ["approximate", "exact"])
@@ -168,8 +166,7 @@ class TestBroadcastUniformity:
             broadcast, unicast, label=f"k4/broadcast-vs-{variant}"
         )
 
-    @pytest.mark.parametrize("contract", ["v1", "v2"])
-    def test_broadcast_vs_wilson_beyond_enumeration(self, contract):
+    def test_broadcast_vs_wilson_beyond_enumeration(self):
         """Oracle arm on a wheel whose tree count defeats enumeration.
 
         ``ell`` is raised past FAST_ELL here: a full-cover (rho = n)
@@ -177,13 +174,13 @@ class TestBroadcastUniformity:
         64-step walk or the Las-Vegas extension cap can trip.
         """
         graph, _ = build_family("wheel", 10, np.random.default_rng(3))
-        config = SamplerConfig(ell=1 << 8, rng_contract=contract)
+        config = SamplerConfig(ell=1 << 8)
         sampled = draw_trees(
             graph, 300, config=config, variant="broadcast", seed=49,
         )
         oracle = draw_oracle_trees(graph, 300, oracle="wilson", seed=50)
         assert_same_tree_law(
-            sampled, oracle, label=f"wheel10/broadcast-vs-wilson/{contract}"
+            sampled, oracle, label="wheel10/broadcast-vs-wilson"
         )
 
     def test_approximate_vs_aldous_broder_beyond_enumeration(self):
@@ -204,24 +201,23 @@ class TestBroadcastUniformity:
 @run_slow
 @pytest.mark.slow
 class TestNightlyUniformity:
-    """Heavy sweeps: larger supports and the full contract x variant
-    cross."""
+    """Heavy sweeps: larger supports, both variants."""
 
-    @CONTRACTS
+    @CELL
     @pytest.mark.parametrize("variant", ["approximate", "exact"])
-    def test_k5(self, contract, variant):
+    def test_k5(self, cell, variant):
         graph = graphs.complete_graph(5)  # 125 spanning trees
         trees = draw_trees(
-            graph, 6000, config=_config(contract), variant=variant,
+            graph, 6000, config=_config(), variant=variant,
             seed=45,
         )
         assert_matches_tree_law(
-            graph, trees, label=f"k5/{variant}/{contract}"
+            graph, trees, label=f"k5/{variant}/{cell}"
         )
 
-    @CONTRACTS
+    @CELL
     @pytest.mark.parametrize("variant", ["approximate", "exact"])
-    def test_weighted_chord_cycle(self, contract, variant):
+    def test_weighted_chord_cycle(self, cell, variant):
         graph = graphs.WeightedGraph.from_edges(
             5,
             [
@@ -230,9 +226,9 @@ class TestNightlyUniformity:
             ],
         )
         trees = draw_trees(
-            graph, 5000, config=_config(contract), variant=variant,
+            graph, 5000, config=_config(), variant=variant,
             seed=46,
         )
         assert_matches_tree_law(
-            graph, trees, label=f"wchord/{variant}/{contract}"
+            graph, trees, label=f"wchord/{variant}/{cell}"
         )
