@@ -18,17 +18,19 @@ dense reference path, where the derived-graph numerics dominate a draw:
 All three runs produce byte-identical trees and round bills (asserted
 here, property-tested in tests/test_engine_store.py); only wall-clock
 may differ. The non-cacheable floor is the walk itself (midpoint
-placement, matching draws, first-visit edges), which is why the speedup
-grows with n: numerics cost scales ~n^3 while the walk floor grows far
-slower.
+draws, truncation, placement from the bank, first-visit edges), which is
+why the speedup grows with n: numerics cost scales ~n^3 while the walk
+floor grows far slower.
 
 The bench pins ``rho = 16`` rather than the paper's round-optimal
-``rho = floor(sqrt(n))``: the placement DP's wall-clock grows ~B^4 in
-the per-phase quota B = rho, so at n = 1024 the default rho = 32 buries
-a warm run under ~60s of *uncacheable* matching draws per ensemble.
-A wall-clock-tuned service keeps rho small -- more phases, hence more
-derived-graph bundles, exactly the work the cache absorbs (the output
-law is rho-independent; only rounds and seconds move).
+``rho = floor(sqrt(n))``. The figures in BENCH_cache_warmstart.json were
+measured when placement still ran a contingency DP per level, whose
+wall-clock grew ~B^4 in the per-phase quota B = rho, so the default
+rho = 32 at n = 1024 buried a warm run under ~60s of matching draws per
+ensemble. Placement now reads the bank and draws nothing; keeping
+``rho = 16`` keeps the grid comparable with those figures (more phases,
+hence more derived-graph bundles, exactly the work the cache absorbs;
+the output law is rho-independent, only rounds and seconds move).
 
 Acceptance gate (full mode): warm-disk restart >= 3x faster than cold at
 n = 1024. Results land in ``BENCH_cache_warmstart.json`` next to this

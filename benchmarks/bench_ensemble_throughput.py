@@ -5,16 +5,17 @@ TV estimation, leverage marginals) draw hundreds of trees from one
 sampler. The seed architecture paid the full per-draw cost in a Python
 loop -- per-draw derived-graph rebuilds and the pure-Python contingency
 DP. The engine batches this: a cross-sample
-:class:`~repro.engine.cache.DerivedGraphCache`, the vectorized placement
-DP, and multi-process fan-out via
-:meth:`~repro.engine.ensemble.EnsembleEngine.sample_ensemble`.
+:class:`~repro.engine.cache.DerivedGraphCache` with warm placement plans,
+and multi-process fan-out via
+:meth:`~repro.engine.ensemble.EnsembleEngine.sample_ensemble`. (Both
+sides now place midpoints from the bank; no contingency DP runs.)
 
 Measured here, for n in {32, 64, 128} at 200 draws:
 
 - ``baseline``: a ``sample_many`` loop with per-draw numeric rebuilds
   (``derived_cache=False``, so every phase also starts from a cold
-  placement plan) at the default matching method, timed over a smaller
-  sample and reported as trees/second;
+  placement plan), timed over a smaller sample and reported as
+  trees/second;
 - ``single``: ``sample_ensemble(200, jobs=1)``;
 - ``multi``: ``sample_ensemble(200, jobs=2)`` (recorded even on 1-CPU
   hosts, where it only adds fork overhead).

@@ -4,7 +4,9 @@ Paper claim: the leader can reconstruct a correctly distributed walk from
 just the midpoint multiset + a weighted perfect matching (Lemma 3 / 4).
 Measured: TV distance between directly filled level transitions and
 matching-reconstructed ones on the Figure 1 walk shape, for both the
-exact-DP and MCMC matching samplers.
+exact-DP and MCMC matching samplers of the resampling oracle
+(``resample_placement``; the sampler itself places midpoints from the
+bank, whose law this reconstruction reproduces).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from collections import Counter
 
 from repro import graphs
 from repro.core.midpoints import MidpointBank
-from repro.core.placement import place_midpoints
+from repro.core.placement import resample_placement
 from repro.core.truncation import LevelView
 from repro.linalg import PowerLadder
 from repro.walks.fill import PartialWalk, _fill_level
@@ -70,7 +72,7 @@ def test_figure1_reconstruction_fidelity(benchmark, report, rng):
             for _ in range(N_SAMPLES):
                 bank = MidpointBank(pair_counts, half, rng)
                 view = LevelView(PartialWalk(4, list(base)), bank)
-                vertices = place_midpoints(
+                vertices = resample_placement(
                     view, view.top, half, rng, method=method
                 ).vertices
                 rebuilt[tuple(vertices)] += 1

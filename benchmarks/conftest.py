@@ -1,8 +1,8 @@
 """Shared infrastructure for the experiment benchmarks.
 
-Each bench file reproduces one experiment ID from DESIGN.md section 3 and
-records a human-readable paper-vs-measured summary through the ``report``
-fixture; summaries are printed in the terminal summary so that
+Each bench file reproduces one of the paper's experiments and records a
+human-readable paper-vs-measured summary through the ``report`` fixture;
+summaries are printed in the terminal summary so that
 ``pytest benchmarks/ --benchmark-only | tee bench_output.txt`` captures the
 reproduction numbers alongside the timing table.
 """

@@ -10,9 +10,10 @@ weighted perfect matching between midpoints and midpoint positions.
 
 This script executes exactly that level on a 5-vertex graph, prints the
 sequences the machines generated, the compressed multiset the leader
-receives, the sampled contingency table (the class-compressed form of the
-matching), and the reconstructed walk -- then verifies over many trials
-that reconstruction preserves the walk distribution (Lemma 3).
+receives, and the walk the leader's matching resample reconstructs
+(``resample_placement``, the oracle the sampler's own bank placement is
+tested against) -- then verifies over many trials that reconstruction
+preserves the walk distribution (Lemma 3).
 
 Run:  python examples/figure1_reconstruction.py
 """
@@ -25,7 +26,7 @@ import numpy as np
 
 from repro import graphs
 from repro.core.midpoints import MidpointBank
-from repro.core.placement import place_midpoints
+from repro.core.placement import resample_placement
 from repro.core.truncation import LevelView
 from repro.linalg import PowerLadder
 from repro.walks.fill import PartialWalk, _fill_level
@@ -51,7 +52,7 @@ def main() -> None:
     multiset = bank.truncated_counts(view.truncated_pair_counts(view.top))
     print("\nleader receives multiset M =", dict(sorted(multiset.items())))
 
-    reconstructed = place_midpoints(view, view.top, half, rng)
+    reconstructed = resample_placement(view, view.top, half, rng)
     print("reconstructed W_{i+1} =", reconstructed.vertices)
 
     # Statistical check of Lemma 3: reconstruction law == direct fill law.
@@ -62,7 +63,7 @@ def main() -> None:
         direct[tuple(_fill_level(w_i, half, rng).vertices)] += 1
         bank = MidpointBank(dict(pairs), half, rng)
         view = LevelView(w_i, bank)
-        rebuilt[tuple(place_midpoints(view, view.top, half, rng).vertices)] += 1
+        rebuilt[tuple(resample_placement(view, view.top, half, rng).vertices)] += 1
     keys = set(direct) | set(rebuilt)
     tv = 0.5 * sum(
         abs(direct[k] / n_samples - rebuilt[k] / n_samples) for k in keys

@@ -190,10 +190,10 @@ class Session:
             "n": int(self.graph.n),
             "seed": request.seed,
             "linalg_backend": self._linalg_name,
-            # The walk layer's one RNG contract (block draws against
-            # plan CDFs), still reported so the response schema is
-            # unchanged.
-            "rng_contract": "v2",
+            # The walk layer's one RNG contract: block draws against
+            # plan CDFs, midpoints placed from the bank's sequences
+            # ("v3"; the same seed gave another tree under "v2").
+            "rng_contract": "v3",
             "seconds": round(time.perf_counter() - start, 6),
             # Cumulative session cache counters, captured after the
             # request so every envelope carries tier hit/miss/spill/

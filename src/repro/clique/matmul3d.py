@@ -25,8 +25,8 @@ Each step moves Theta(n^{4/3}) words per machine, i.e. Theta(n^{1/3})
 rounds -- matching [17]'s combinatorial bound exactly. The numerics are
 performed for real (block numpy products), so :class:`PowerLadder` and
 the samplers can run with *measured* rather than analytic matmul rounds
-(``SimulatedMatmul`` plugs into the ledger). DESIGN.md records the
-substitution: measured rounds scale as n^{1/3} instead of the paper's
+(``SimulatedMatmul`` plugs into the ledger). The README's "Sampler
+variants" section records the substitution: measured rounds scale as n^{1/3} instead of the paper's
 n^{0.157}, because fast rectangular multiplication inside the clique is
 out of scope; the samplers' *headline* exponent with this backend becomes
 1/2 + 1/3 < 1 -- still sublinear, and the analytic-charge mode remains

@@ -1,21 +1,22 @@
 """Configuration for the CongestedClique spanning-tree samplers.
 
 Every tunable the paper leaves as a parameter (epsilon, rho, the nominal
-walk length ell, numerical precision, which matching sampler realizes the
-JSV/JVV step) is surfaced here, with defaults matching the paper's choices
-for the approximate (Theorem 1) variant.
+walk length ell, numerical precision) is surfaced here, with defaults
+matching the paper's choices for the approximate (Theorem 1) variant.
 
 How the walk layer consumes randomness is not a knob. The paper fixes
 the *law* of every walk-layer decision, not which generator bits realize
-it, and there is one realization: per level (and per contingency-DP
-draw / first-visit group) one uniform block is drawn and every pending
-decision is resolved by ``searchsorted`` against CDFs the phase's
-:class:`~repro.core.placement_plan.PlacementPlan` caches.
+it, and there is one realization: per level (and per first-visit group)
+one uniform block is drawn and every pending decision is resolved by
+``searchsorted`` against CDFs the phase's
+:class:`~repro.core.placement_plan.PlacementPlan` caches. Nor is the
+matching sampler a knob: midpoint placement reads the bank's own
+sequences, which already follow Lemma 3's law
+(:mod:`repro.core.placement`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -23,7 +24,6 @@ from repro.errors import ConfigError
 
 __all__ = ["SamplerConfig"]
 
-MatchingMethod = Literal["exact-dp", "exact-permanent", "mcmc"]
 FailurePolicy = Literal["extend", "error"]
 
 
@@ -35,9 +35,7 @@ class SamplerConfig:
     ----------
     epsilon:
         Target total variation distance from uniform (the paper allows
-        any ``eps = Omega(1/n^c)``). Drives the nominal walk length and
-        the per-level matching-sampler accuracy budget
-        ``eps / (4 sqrt(n) log ell)``.
+        any ``eps = Omega(1/n^c)``). Drives the nominal walk length.
     rho:
         Distinct vertices visited per phase. ``None`` uses the variant
         default: ``floor(sqrt(n))`` for the approximate sampler (Section
@@ -45,7 +43,7 @@ class SamplerConfig:
         phase actually stops at ``min(rho, |S|)`` distinct vertices --
         positions past the point where S is covered contribute no
         first-visit edges, so this preserves the output distribution while
-        keeping the simulation's realized walks finite (DESIGN.md §4.3).
+        keeping the simulation's realized walks finite.
     ell:
         Nominal per-phase walk length; ``None`` uses the paper's smallest
         power of two at least ``log(4 sqrt(n)/eps) * n^3``. Benchmarks may
@@ -58,13 +56,6 @@ class SamplerConfig:
         current endpoint with a fresh target. ``"error"`` raises, exposing
         the paper's Monte-Carlo failure event (probability <= eps/2 with
         the paper's ell).
-    matching_method:
-        How the weighted-perfect-matching placement step samples:
-        ``"exact-dp"`` (class-compressed exact sampler; default),
-        ``"exact-permanent"`` (self-reducible Ryser; small instances),
-        ``"mcmc"`` (Metropolis chain -- the approximate path of Lemma 4).
-    mcmc_steps:
-        Proposal count for the MCMC matching sampler (``None``: 10 * B^3).
     precision_bits:
         Entry precision for matrix power ladders. ``None`` = full float64
         (the exact-arithmetic idealization); an integer activates the
@@ -141,8 +132,6 @@ class SamplerConfig:
     rho: int | None = None
     ell: int | None = None
     on_failure: FailurePolicy = "extend"
-    matching_method: MatchingMethod = "exact-dp"
-    mcmc_steps: int | None = None
     precision_bits: int | None = None
     matmul_backend: Literal["analytic", "simulated-3d"] = "analytic"
     linalg_backend: Literal["auto", "dense", "sparse"] = "auto"
@@ -170,10 +159,6 @@ class SamplerConfig:
                 )
         if self.on_failure not in ("extend", "error"):
             raise ConfigError(f"unknown failure policy {self.on_failure!r}")
-        if self.matching_method not in ("exact-dp", "exact-permanent", "mcmc"):
-            raise ConfigError(
-                f"unknown matching method {self.matching_method!r}"
-            )
         if self.precision_bits is not None and self.precision_bits < 8:
             raise ConfigError(
                 f"precision_bits must be >= 8, got {self.precision_bits}"
@@ -258,15 +243,6 @@ class SamplerConfig:
         from repro.graphs.covertime import nominal_walk_length
 
         return nominal_walk_length(n, self.epsilon)
-
-    def matching_tv_budget(self, n: int, ell: int) -> float:
-        """Per-sample TV budget for the matching sampler (Section 2.1.3).
-
-        The paper allots ``eps / (4 sqrt(n) log ell)`` to each of the
-        O(sqrt(n) log ell) perfect-matching draws so the union bound over
-        all levels and phases stays at O(eps).
-        """
-        return self.epsilon / (4.0 * math.sqrt(n) * max(1.0, math.log2(ell)))
 
     def normalizer_floor(self, n: int) -> float:
         """Section 5.2's lower bound ``1 / n^c`` on midpoint normalizers."""

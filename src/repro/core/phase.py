@@ -8,7 +8,7 @@ A phase builds a random walk on the current phase graph (G itself in phase
         Algorithm 2: leader requests midpoints; M_{p,q} machines sample
                      the sequences Pi_{p,q}                 (midpoints.py)
         Algorithm 3: distributed binary search truncation  (truncation.py)
-        Lemmas 3-4:  multiset collection + matching placement
+        Lemmas 3-4:  multiset collection + placement from the bank
                                                            (placement.py)
 
 Failure handling follows Appendix 5.1: when a nominal-length walk falls
@@ -175,16 +175,12 @@ def _segment_fill(
         t_star = find_truncation_index_fast(view, rho_seg, clique=clique)
         if t_star == 0:
             raise SamplingError("truncation collapsed to the start vertex")
+        # Placement reads the bank's own sequences (no randomness); the
+        # two fronts differ only in what the ledger bills.
         if exact_placement:
-            walk = place_by_pair_multisets(view, t_star, rng, clique=clique)
+            walk = place_by_pair_multisets(view, t_star, clique=clique)
         else:
-            walk = place_midpoints(
-                view, t_star, half_power, rng,
-                method=config.matching_method,
-                mcmc_steps=config.mcmc_steps,
-                clique=clique,
-                plan=plan, level=half,
-            )
+            walk = place_midpoints(view, t_star, clique=clique)
         stats.levels += 1
     return list(walk.vertices)
 
@@ -212,9 +208,8 @@ def run_phase_walk(
     the first occurrence of its rho_eff-th distinct vertex.
 
     ``plan`` is the phase's
-    :class:`~repro.core.placement_plan.PlacementPlan`: midpoint laws,
-    end laws and contingency-DP builds are served from its memos, so
-    the engine passes the plan its cache entry carries and every draw
+    :class:`~repro.core.placement_plan.PlacementPlan`: midpoint and
+    end laws are served from its memos, so the engine passes the plan its cache entry carries and every draw
     against the phase shares it. Callers without one get a private plan
     for this walk. Every decision is drawn as a uniform block resolved
     against the plan's CDFs.
@@ -252,12 +247,14 @@ def run_phase_walk(
                 f"{config.max_extensions} extensions"
             )
         # Appendix 5.1: continue from the current endpoint. The segment
-        # quota only needs to cover the *remaining* new vertices (plus the
-        # segment's own start); the cumulative scan below is what actually
-        # stops the walk.
-        remaining = rho_eff - len(seen)
+        # keeps the full quota: its own distinct vertices may be old ones,
+        # and only a segment that reaches rho_eff distinct vertices is sure
+        # to hold the missing ones (a smaller quota stops segments after a
+        # step or two and burns through max_extensions). Any quota is a
+        # stopping time; the cumulative scan below is what actually stops
+        # the walk.
         segment = _segment_fill(
-            ladder, walk[-1], remaining + 1, config, rng, clique, stats,
+            ladder, walk[-1], rho_eff, config, rng, clique, stats,
             exact_placement=exact_placement, plan=plan,
         )
         walk.extend(segment[1:])

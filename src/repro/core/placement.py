@@ -1,4 +1,4 @@
-"""Midpoint placement: multiset collection + matching sampling (Lemmas 3-4).
+"""Midpoint placement: multiset collection + the Lemma 3 law (Lemmas 3-4).
 
 Once the truncation point ``t*`` is fixed, the leader must fill the
 midpoint positions of the truncated prefix. Receiving the sequences
@@ -14,15 +14,27 @@ midpoint positions of the truncated prefix. Receiving the sequences
    position between the pair (p, q). Lemma 3: matching weight is
    proportional to the probability of the induced placement.
 
-:func:`place_midpoints` implements this with any of the configured
-matching samplers; :func:`place_by_pair_multisets` implements the exact
-variant's placement (Appendix 5.3), where each pair's multiset is shuffled
-uniformly -- no matching sampler (and hence no sampling error) at all.
+The simulator realizes that law from its own sequences instead of
+resampling it. :class:`~repro.core.midpoints.MidpointBank` has already
+drawn every ``Pi_{p,q}``, so the true placement -- position ``t`` gets
+``W^+_i[t]`` -- is itself a draw from Lemma 3's law given the collected
+multiset, and from Appendix 5.3's exchangeable per-pair law given the
+pair multisets. :func:`place_midpoints` (Section 2.1.3) and
+:func:`place_by_pair_multisets` (Appendix 5.3, the exact variant) are two
+billing fronts over that one bank placement: each charges the ledger
+what its protocol sends, runs the protocol's consistency checks, and
+draws no randomness.
+
+:func:`resample_placement` is the oracle the tests and the paper benches
+compare against: it resamples the placement from the collected multiset
+with a matching sampler (the class DP, Ryser, MCMC) or with the per-pair
+uniform shuffle, exactly as the protocol's leader would.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,7 +51,7 @@ from repro.matching.sampler import (
 )
 from repro.walks.fill import PartialWalk
 
-__all__ = ["place_midpoints", "place_by_pair_multisets"]
+__all__ = ["place_midpoints", "place_by_pair_multisets", "resample_placement"]
 
 
 def _charge_submatrix(clique: CongestedClique | None, distinct: int) -> None:
@@ -54,6 +66,22 @@ def _charge_submatrix(clique: CongestedClique | None, distinct: int) -> None:
         max(1, distinct),
         max(1, distinct * distinct),
         total_words=max(1, distinct * distinct),
+    )
+
+
+def _charge_pair_multisets(
+    clique: CongestedClique | None, truncated: dict[Pair, int]
+) -> None:
+    """Every ``M_{p,q}`` sends the multiset of its truncated sequence
+    (Appendix 5.3)."""
+    if clique is None:
+        return
+    words = sum(truncated.values()) + len(truncated)
+    clique.charge_step(
+        "placement/pair-multisets",
+        max(1, max(truncated.values(), default=1)),
+        max(1, words),
+        total_words=max(1, words),
     )
 
 
@@ -77,64 +105,31 @@ def _final_midpoint_position(t_star: int) -> int:
     return t_star if t_star % 2 == 1 else t_star - 1
 
 
-def _assemble(
-    view: LevelView,
-    t_star: int,
-    placed: dict[int, int],
-) -> PartialWalk:
-    """Build W_{i+1} from old vertices and the placed midpoints."""
-    vertices: list[int] = []
-    for t in range(t_star + 1):
-        if t % 2 == 0:
-            vertices.append(view.walk.vertices[t // 2])
-        else:
-            vertices.append(placed[t])
-    new_spacing = view.walk.spacing // 2
-    if new_spacing < 1:
-        raise WalkError("cannot halve spacing below 1")
-    return PartialWalk(new_spacing, vertices)
+class _Collected(NamedTuple):
+    """What the leader holds after the Section 2.1.3 collection."""
+
+    truncated: dict[Pair, int]  # c_{p,q}(t*) per pair
+    t_final: int
+    final_value: int
+    multiset: Counter  # M' = M \ {m_f}
+    positions: list[int]  # P': the open midpoint positions
 
 
-def place_midpoints(
-    view: LevelView,
-    t_star: int,
-    half_power,
-    rng: np.random.Generator,
-    *,
-    method: str = "exact-dp",
-    mcmc_steps: int | None = None,
-    clique: CongestedClique | None = None,
-    plan: PlacementPlan | None = None,
-    level: int = 0,
-) -> PartialWalk:
-    """Sample the placement of the collected multiset (Section 2.1.3).
+def _collect(
+    view: LevelView, t_star: int, clique: CongestedClique | None
+) -> _Collected:
+    """Pin the final midpoint and collect ``M'`` and ``P'``.
 
-    Returns the next partial walk ``W_{i+1}`` (spacing halved, truncated
-    at ``t*``). ``method`` selects the matching sampler; ``"mcmc"`` starts
-    its chain from the *true* placement (known to the simulator), which
-    guarantees a feasible positive-weight initial state -- and, since
-    that state is itself distributed per the target law given the
-    multiset, leaves the chain stationary from step 0: the simulated
-    MCMC path is statistically exact at any proposal budget. (A real
-    deployment starts cold and needs the Lemma 4 budget; cold-start
-    mixing is what the matching-sampler unit tests exercise.)
-
-    ``plan``/``level`` name the phase's
-    :class:`~repro.core.placement_plan.PlacementPlan` and the level's
-    half-spacing exponent: weight columns come from the plan's
-    per-(level, pair) law memo, and the exact-DP sampler reuses the
-    plan's prepared forward/backward passes for isomorphic instances.
-    Without a plan the placement uses a private one.
+    The prologue every placement shares: one point query for ``m_f``
+    (charged), then the multiset consistency checks.
     """
-    plan = plan or PlacementPlan()
-    bank = view.bank
     truncated = view.truncated_pair_counts(t_star)
     t_final = _final_midpoint_position(t_star)
     final_value = view.value_at(t_final)  # O(1)-round point query
     if clique is not None:
         clique.charge_step("placement/final-midpoint", 1, 1, total_words=1)
 
-    multiset = bank.truncated_counts(truncated)
+    multiset = view.bank.truncated_counts(truncated)
     if multiset[final_value] < 1:
         raise SamplingError("final midpoint missing from collected multiset")
     multiset[final_value] -= 1
@@ -146,8 +141,127 @@ def place_midpoints(
             f"multiset size {sum(multiset.values())} != "
             f"{len(positions)} open positions"
         )
+    return _Collected(truncated, t_final, final_value, multiset, positions)
 
-    placed: dict[int, int] = {t_final: final_value}
+
+def _assemble(
+    view: LevelView,
+    t_star: int,
+    midpoint_at: Callable[[int], int],
+) -> PartialWalk:
+    """Build W_{i+1} from old vertices and the midpoint of each odd slot."""
+    new_spacing = view.walk.spacing // 2
+    if new_spacing < 1:
+        raise WalkError("cannot halve spacing below 1")
+    vertices = [
+        view.walk.vertices[t // 2] if t % 2 == 0 else midpoint_at(t)
+        for t in range(t_star + 1)
+    ]
+    return PartialWalk(new_spacing, vertices)
+
+
+def place_midpoints(
+    view: LevelView,
+    t_star: int,
+    *,
+    clique: CongestedClique | None = None,
+) -> PartialWalk:
+    """Place the collected multiset (Section 2.1.3) from the bank.
+
+    Returns the next partial walk ``W_{i+1}`` (spacing halved, truncated
+    at ``t*``), every midpoint read from the bank's sequences: the draw
+    Lemma 3's matching law would make given the multiset. The ledger
+    bills the protocol: the final-midpoint query, then the ``S``
+    broadcast and the ``|S| x |S|`` submatrix the matching sampler
+    needs. When the contingency DP's state estimate exceeds
+    ``_DP_STATE_BUDGET`` (huge multisets over few values), the leader
+    would switch to the Appendix 5.3 per-pair multisets instead, and the
+    level is billed as :func:`place_by_pair_multisets`.
+    """
+    collected = _collect(view, t_star, clique)
+    if collected.positions:
+        if (
+            _dp_cost_estimate(collected.multiset, collected.positions)
+            > _DP_STATE_BUDGET
+        ):
+            # The whole Appendix 5.3 round is billed on top, its own
+            # final-midpoint query included.
+            return place_by_pair_multisets(view, t_star, clique=clique)
+        distinct = len(set(view.walk.vertices[: t_star // 2 + 1]))
+        distinct += len(collected.multiset) + 1
+        _charge_submatrix(clique, distinct)
+    return _assemble(view, t_star, view.value_at)
+
+
+def place_by_pair_multisets(
+    view: LevelView,
+    t_star: int,
+    *,
+    clique: CongestedClique | None = None,
+) -> PartialWalk:
+    """Appendix 5.3 placement: per-pair multisets, read from the bank.
+
+    Every ``M_{p,q}`` sends the *multiset* of its truncated sequence
+    (Theta(rho) words each; with rho = n^(1/3) the leader receives
+    O(n^{2/3} * n^{1/3}) = O(n) words, O(1) rounds). Midpoints of a pair
+    are exchangeable, so the leader's uniform shuffle of each pair's
+    multiset (the final midpoint pinned, as always) has the law of the
+    bank's own order, which is what this places.
+    """
+    collected = _collect(view, t_star, clique)
+    _charge_pair_multisets(clique, collected.truncated)
+    return _assemble(view, t_star, view.value_at)
+
+
+# ---------------------------------------------------------------------------
+# The resampling oracle
+# ---------------------------------------------------------------------------
+
+
+def resample_placement(
+    view: LevelView,
+    t_star: int,
+    half_power,
+    rng: np.random.Generator,
+    *,
+    method: str = "exact-dp",
+    mcmc_steps: int | None = None,
+    clique: CongestedClique | None = None,
+    plan: PlacementPlan | None = None,
+    level: int = 0,
+) -> PartialWalk:
+    """Resample the placement of the collected multiset (test oracle).
+
+    What the protocol's leader does without the sequences, for comparing
+    against the bank placement of :func:`place_midpoints`. ``method``
+    selects the sampler:
+
+    - ``"exact-dp"``: the class contingency DP
+      (:meth:`~repro.core.placement_plan.PlacementPlan.prepared_dp`) plus
+      a uniform within-class expansion;
+    - ``"exact-permanent"``: self-reducible Ryser sampling (instances
+      past 16 midpoints switch to ``"exact-dp"``, which samples the same
+      law in polynomial time);
+    - ``"mcmc"``: a Metropolis chain started from the *true* placement,
+      a feasible positive-weight state that is itself distributed per
+      the target law, so the chain is stationary from step 0 at any
+      proposal budget (cold-start mixing is what the matching-sampler
+      unit tests exercise);
+    - ``"pair-multisets"``: the Appendix 5.3 uniform shuffle of each
+      pair's multiset (what the exact variant's leader does).
+
+    Past ``_DP_STATE_BUDGET`` the matching methods also fall back to the
+    per-pair shuffle. ``plan`` / ``level`` supply the weight columns from
+    the plan's law memo (a private plan without one). Charges the same
+    ledger entries as the bank placement.
+    """
+    if method == "pair-multisets":
+        return _shuffle_pair_multisets(view, t_star, rng, clique)
+    plan = plan or PlacementPlan()
+    collected = _collect(view, t_star, clique)
+    positions = collected.positions
+    multiset = collected.multiset
+    placed: dict[int, int] = {collected.t_final: collected.final_value}
     if positions and _dp_cost_estimate(multiset, positions) > _DP_STATE_BUDGET:
         # The class DP is polynomial in the class *counts* but its state
         # space is the product of per-class multiplicities, which explodes
@@ -155,7 +269,7 @@ def place_midpoints(
         # Fall back to the appendix's per-pair multiset placement, which
         # resamples the same conditional law exactly (both are exact
         # resamplings of the true placement; see Appendix 5.3).
-        return place_by_pair_multisets(view, t_star, rng, clique=clique)
+        return _shuffle_pair_multisets(view, t_star, rng, clique)
     if positions:
         pair_for_position = {
             t: view.pair_of_gap((t - 1) // 2) for t in positions
@@ -194,7 +308,7 @@ def place_midpoints(
             labels = per_class[class_index_of[pair]]
             placed[t] = int(labels[cursor[pair]])
             cursor[pair] += 1
-    return _assemble(view, t_star, placed)
+    return _assemble(view, t_star, placed.__getitem__)
 
 
 def _sample_assignment(
@@ -208,7 +322,7 @@ def _sample_assignment(
     mcmc_steps: int | None,
     plan: PlacementPlan,
 ) -> list[list[int]]:
-    """Dispatch to the configured matching sampler; returns per-column-class
+    """Dispatch to the chosen matching sampler; returns per-column-class
     label lists (chronological within class)."""
     if method == "exact-permanent" and instance.size > 16:
         # Ryser permanents are exponential in the instance size; beyond
@@ -216,11 +330,8 @@ def _sample_assignment(
         # same law in polynomial time.
         method = "exact-dp"
     if method == "exact-dp":
-        # The deterministic DP build is shared across isomorphic
-        # instances via the plan; only the sampling pass (one uniform
-        # vector per table draw, resolved column by column against the
-        # prepared CDFs) and the uniform within-class expansion consume
-        # the rng.
+        # One uniform vector per table draw, resolved column by column
+        # against the DP's CDFs, then the uniform within-class expansion.
         table = plan.prepared_dp(instance).sample(rng)
         return [
             [int(x) for x in labels]
@@ -292,50 +403,30 @@ def _true_initial_permutation(
     return permutation
 
 
-def place_by_pair_multisets(
+def _shuffle_pair_multisets(
     view: LevelView,
     t_star: int,
     rng: np.random.Generator,
-    *,
-    clique: CongestedClique | None = None,
+    clique: CongestedClique | None,
 ) -> PartialWalk:
-    """Appendix 5.3 placement: per-pair multisets, uniform shuffles.
-
-    Every ``M_{p,q}`` sends the *multiset* of its truncated sequence
-    (Theta(rho) words each; with rho = n^(1/3) the leader receives
-    O(n^{2/3} * n^{1/3}) = O(n) words, O(1) rounds). Midpoints of a pair
-    are exchangeable, so placing a uniformly random permutation of each
-    pair's multiset is exact -- with the chronologically final midpoint
-    pinned, as always.
-    """
-    bank = view.bank
-    truncated = view.truncated_pair_counts(t_star)
-    t_final = _final_midpoint_position(t_star)
-    final_value = view.value_at(t_final)
+    """Appendix 5.3's leader: a uniform shuffle of each pair's multiset,
+    with the chronologically final midpoint pinned."""
+    collected = _collect(view, t_star, clique)
+    _charge_pair_multisets(clique, collected.truncated)
+    t_final = collected.t_final
     final_pair = view.pair_of_gap((t_final - 1) // 2)
-    if clique is not None:
-        clique.charge_step("placement/final-midpoint", 1, 1, total_words=1)
-        words = sum(truncated.values()) + len(truncated)
-        clique.charge_step(
-            "placement/pair-multisets",
-            max(1, max(truncated.values(), default=1)),
-            max(1, words),
-            total_words=max(1, words),
-        )
 
-    placed: dict[int, int] = {t_final: final_value}
+    placed: dict[int, int] = {t_final: collected.final_value}
     per_pair_positions: dict[Pair, list[int]] = {}
-    for t in view.midpoint_positions_upto(t_star):
-        if t == t_final:
-            continue
+    for t in collected.positions:
         per_pair_positions.setdefault(view.pair_of_gap((t - 1) // 2), []).append(t)
 
     pending: list[tuple[list[int], list[int]]] = []
     total_values = 0
-    for pair, upto in truncated.items():
-        values = [int(v) for v in bank.sequence(pair)[:upto]]
+    for pair, upto in collected.truncated.items():
+        values = [int(v) for v in view.bank.sequence(pair)[:upto]]
         if pair == final_pair:
-            values.remove(final_value)
+            values.remove(collected.final_value)
         slots = per_pair_positions.get(pair, [])
         if len(values) != len(slots):
             raise SamplingError(
@@ -353,4 +444,4 @@ def place_by_pair_multisets(
         cursor += len(values)
         for slot, index in zip(slots, order):
             placed[slot] = values[int(index)]
-    return _assemble(view, t_star, placed)
+    return _assemble(view, t_star, placed.__getitem__)

@@ -58,6 +58,11 @@ CACHE_BEHAVIOR_FIELDS = frozenset(
     }
 )
 
+# Retired fields keep their old slots and defaults so cache volumes stay warm.
+_RETIRED_FINGERPRINT_PARTS = {
+    "on_failure": (("matching_method", "'exact-dp'"), ("mcmc_steps", "None")),
+}
+
 
 def config_fingerprint(config, *, resolved_ell: int, linalg_backend: str) -> str:
     """Canonical string over every *numerics-affecting* field plus resolved state.
@@ -88,6 +93,7 @@ def config_fingerprint(config, *, resolved_ell: int, linalg_backend: str) -> str
             except Exception:  # unsortable/exotic payloads still fingerprint
                 value = repr(value)
         parts.append((field.name, repr(value)))
+        parts.extend(_RETIRED_FINGERPRINT_PARTS.get(field.name, ()))
     parts.append(("resolved_ell", repr(int(resolved_ell))))
     parts.append(("resolved_linalg", repr(str(linalg_backend))))
     return repr(parts)
@@ -114,10 +120,10 @@ class PhaseNumerics:
     ladder_squarings: int
     ladder_entry_words: int | None
     shortcut_squarings: int  # 0 in phase 1 (no Corollary 2 charge)
-    # The phase's placement memo (laws, prepared DPs, first-visit
-    # tables; see repro.core.placement_plan). Rides the cache entry so
-    # every draw against this subset shares one classification; None
-    # until an engine first touches the entry.
+    # The phase's walk-layer memo (laws and first-visit tables; see
+    # repro.core.placement_plan). Rides the cache entry so every draw
+    # against this subset shares it; None until an engine first touches
+    # the entry.
     plan: object | None = None
 
     def nbytes(self) -> int:

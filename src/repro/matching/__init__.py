@@ -7,19 +7,24 @@ is the permanent of B's biadjacency matrix. The paper invokes the
 Jerrum-Sinclair-Vigoda permanent FPRAS [46] plus the Jerrum-Valiant-
 Vazirani sampling-from-counting reduction [47].
 
-We provide three interchangeable samplers (see DESIGN.md section 1 for the
-substitution argument):
+Three interchangeable samplers stand in for that pipeline:
 
 - :func:`~repro.matching.sampler.sample_matching_exact` -- exact
   self-reducible sampling with Ryser permanents (small instances);
 - :class:`~repro.matching.sampler.ClassifiedBipartite` +
   :func:`~repro.matching.sampler.sample_assignment_by_classes` -- exact
   sampling exploiting B's class structure (rows/columns with identical
-  weight profiles), the library default;
+  weight profiles) by a contingency-table DP;
 - :func:`~repro.matching.sampler.sample_matching_mcmc` -- a Metropolis
   chain over permutations, the polynomial-time approximate stand-in that
   exercises the paper's "approximate sampler + union bound" analysis
   (Lemma 4).
+
+They are oracles, not a runtime path: the simulator already holds the
+true placement, which follows the same law (the README's "Walk-layer
+placement" section gives the argument), and
+:func:`repro.core.placement.resample_placement` runs these samplers
+against it.
 """
 
 from repro.matching.permanent import (
@@ -30,7 +35,6 @@ from repro.matching.permanent import (
 from repro.matching.sampler import (
     ClassifiedBipartite,
     expand_table_to_assignment,
-    instance_digest,
     prepare_contingency_dp,
     sample_assignment_by_classes,
     sample_contingency_table,
@@ -44,7 +48,6 @@ __all__ = [
     "permanent_ryser",
     "ClassifiedBipartite",
     "expand_table_to_assignment",
-    "instance_digest",
     "prepare_contingency_dp",
     "sample_assignment_by_classes",
     "sample_contingency_table",

@@ -114,23 +114,6 @@ def _compositions(total: int, caps: Sequence[int]) -> list[tuple[int, ...]]:
     return results
 
 
-@lru_cache(maxsize=65536)
-def compositions_array(total: int, caps: tuple[int, ...]) -> np.ndarray:
-    """:func:`_compositions` as a cached read-only ``(m, len(caps))`` array.
-
-    Composition enumeration depends only on the integer shape ``(total,
-    caps)``, which repeats heavily across the contingency-table DP's
-    states, placement levels, and ensemble draws -- memoizing it globally
-    removes the dominant pure-Python cost of the class-DP matching
-    sampler. Rows preserve :func:`_compositions`'s enumeration order (the
-    samplers' option indexing relies on it).
-    """
-    comps = _compositions(total, caps)
-    array = np.asarray(comps, dtype=np.int64).reshape(len(comps), len(caps))
-    array.setflags(write=False)
-    return array
-
-
 def _stable_allocation_factor(
     weights: np.ndarray, col_index: int, allocation: Sequence[int]
 ) -> float:

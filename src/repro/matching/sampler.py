@@ -18,32 +18,25 @@ assignment by uniform multiset permutations -- together an exact (TV error
 :func:`sample_matching_mcmc` (Metropolis) are provided for validation and
 for the approximate-sampler code path of Lemma 4.
 
-The DP is split into a deterministic *build* (feasibility, composition
-tables, forward reachability, backward log-partition values -- no
-randomness) and a cheap randomness-consuming *sampling pass*:
-:func:`prepare_contingency_dp` returns the built evaluator so batch
-workloads (:class:`repro.core.placement_plan.PlacementPlan`) can reuse
-one build across every draw that meets an isomorphic instance
-(:func:`instance_digest`); :func:`sample_contingency_table` is the
-one-shot composition of the two.
+The DP is split into a deterministic *build* (the recursive suffix
+log-partition values, memoized per state -- no randomness) and a cheap
+randomness-consuming *sampling pass*: :func:`prepare_contingency_dp`
+returns the built evaluator, whose ``sample(rng)`` draws ONE uniform
+vector per table (``rng.random(num_columns)``) and resolves each column
+by ``np.searchsorted`` against a per-(column, remaining-state) CDF;
+:func:`sample_contingency_table` is the one-shot composition of the
+two. Single-row/column instances take a closed form that consumes no
+randomness.
 
-Every prepared evaluator has one sampling pass, ``sample(rng)``: ONE
-uniform vector per draw (``rng.random(num_columns)``), each column
-resolved by ``np.searchsorted`` against a per-(column, remaining-state)
-CDF table. The root-column table is built eagerly at prepare time;
-deeper states are memoized on first visit, so warm draws touch no
-``exp``/normalize at all. The memo round-trips through
-``export_cdf_entries`` / ``from_cdf_seed`` so a
-:class:`~repro.core.placement_plan.PlacementPlan` can persist the
-hottest instances' CDF tables and a restarted process can serve its
-first draws without re-running the forward/backward passes (the build
-is deferred until a state-memo miss). The closed-form evaluator's pass
-consumes no randomness at all.
+These samplers are oracles: the sampler's own placement reads the
+midpoint bank's sequences, whose true placement already follows this
+law (see :mod:`repro.core.placement`). Tests and the paper benches
+compare the two through
+:func:`repro.core.placement.resample_placement`.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Hashable, Sequence
@@ -51,11 +44,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from repro.errors import MatchingError
-from repro.matching.permanent import (
-    _compositions,
-    compositions_array,
-    permanent_ryser,
-)
+from repro.matching.permanent import _compositions, permanent_ryser
 
 __all__ = [
     "ClassifiedBipartite",
@@ -65,8 +54,6 @@ __all__ = [
     "expand_table_to_assignment",
     "sample_assignment_by_classes",
     "prepare_contingency_dp",
-    "restore_prepared_vectorized",
-    "instance_digest",
 ]
 
 
@@ -128,7 +115,8 @@ def sample_matching_mcmc(
     Proposal: a uniformly random transposition of two positions; acceptance
     ``min(1, ratio)`` with the 4-entry weight ratio. This is the
     polynomial-time *approximate* sampler exercising Lemma 4's TV-error
-    analysis (the JSV/JVV pipeline stand-in; see DESIGN.md). ``steps``
+    analysis (the JSV/JVV pipeline stand-in; see the README's "Walk-layer
+    placement" section). ``steps``
     defaults to ``10 * n^3`` proposals capped at 100k -- placement
     instances can reach hundreds of midpoints, where the uncapped cubic
     budget would dominate the whole pipeline while the transposition
@@ -231,9 +219,6 @@ class ClassifiedBipartite:
         return np.asarray(self.class_weights)[np.ix_(rows, cols)]
 
 
-_SMALL_INSTANCE_SIZE = 6
-
-
 def _trivial_table(instance: ClassifiedBipartite) -> np.ndarray | None:
     """Closed-form table for single-row/column instances (one atom law).
 
@@ -264,27 +249,6 @@ def _trivial_table(instance: ClassifiedBipartite) -> np.ndarray | None:
     return None
 
 
-def instance_digest(instance: ClassifiedBipartite) -> str:
-    """Content address of the DP-relevant part of an instance.
-
-    Two instances with equal ``(row_counts, col_counts, class_weights)``
-    are *isomorphic* for the contingency DP: labels only matter when a
-    table is expanded to an assignment. The digest is what lets a
-    :class:`~repro.core.placement_plan.PlacementPlan` reuse one prepared
-    DP across pairs, levels, and ensemble draws.
-    """
-    digest = hashlib.sha1()
-    digest.update(
-        repr((tuple(instance.row_counts), tuple(instance.col_counts))).encode()
-    )
-    digest.update(
-        np.ascontiguousarray(
-            np.asarray(instance.class_weights, dtype=np.float64)
-        ).tobytes()
-    )
-    return digest.hexdigest()
-
-
 class _PreparedTrivial:
     """Closed-form single-row/column-class table; consumes no randomness."""
 
@@ -295,25 +259,15 @@ class _PreparedTrivial:
         """The forced table; ``rng`` is accepted and left untouched."""
         return self._table.copy()
 
-    def nbytes(self) -> int:
-        return int(self._table.nbytes)
-
 
 class _PreparedReference:
     """The pure-Python suffix DP, built once and sampled many times.
 
-    Mirrors the seed implementation exactly -- same composition
-    enumeration order, same log-space accumulation order -- so the
-    option probabilities are bit-identical; the only difference is that
-    the suffix memo (and optionally the composition memo) lives on the
-    object instead of being rebuilt and cleared per call.
+    Reachable states only: the suffix memo and the per-state option
+    laws fill in lazily, so the state space is never enumerated.
     """
 
-    def __init__(
-        self,
-        instance: ClassifiedBipartite,
-        comp_memo: dict | None = None,
-    ) -> None:
+    def __init__(self, instance: ClassifiedBipartite) -> None:
         self._weights = np.asarray(instance.class_weights, dtype=np.float64)
         self._a = tuple(int(k) for k in instance.row_counts)
         self._b = tuple(int(k) for k in instance.col_counts)
@@ -326,7 +280,7 @@ class _PreparedReference:
             tuple[int, tuple[int, ...]],
             tuple[list[tuple[int, ...]], np.ndarray],
         ] = {}
-        self._comps = comp_memo if comp_memo is not None else {}
+        self._comps: dict = {}
         if self._log_suffix(0, self._a) == -math.inf:
             raise MatchingError(
                 "instance admits no positive-weight perfect matching "
@@ -342,13 +296,6 @@ class _PreparedReference:
             hit = _compositions(total, remaining)
             self._comps[key] = hit
         return hit
-
-    def nbytes(self) -> int:
-        """Rough bytes of the suffix memo (~56B per float cache slot)."""
-        total = 56 * len(self._suffix)
-        for options, cdf in self._options.values():
-            total += 24 * len(options) + cdf.nbytes
-        return total
 
     def _state_options(
         self, col_index: int, remaining: tuple[int, ...]
@@ -434,387 +381,30 @@ class _PreparedReference:
         return table
 
 
-class _PreparedVectorized:
-    """The layered numpy DP with its deterministic passes precomputed.
-
-    Everything value-dependent is computed at build time: log weights
-    (zero weights masked, handled via feasibility tests so 0 * -inf never
-    appears), a factorial table for the 1/k! terms, one composition table
-    per column capped at the *full* row counts, the forward reachability
-    layers, and the backward log-partition values. States (remaining
-    row-count vectors) are encoded in a mixed radix so layers can be
-    deduplicated, sorted, and joined with searchsorted. Sampling then
-    costs one feasibility mask + searchsorted per column class -- the
-    only randomness-consuming part, so a plan can reuse one build across
-    every draw that meets the same (counts, weights) instance.
-    """
-
-    _BLOCK_ELEMENTS = 4_000_000
-
-    def __init__(self, instance: ClassifiedBipartite, *, build: bool = True) -> None:
-        a = tuple(int(k) for k in instance.row_counts)
-        b = tuple(int(k) for k in instance.col_counts)
-        num_rows = len(a)
-        self._a = a
-        self._b = b
-        strides = np.empty(num_rows, dtype=np.int64)
-        acc = 1
-        for r in range(num_rows - 1, -1, -1):
-            strides[r] = acc
-            acc *= a[r] + 1
-        self._strides = strides
-        self._a_arr = np.asarray(a, dtype=np.int64)
-        self._root_code = int(self._a_arr @ strides)
-        # (col_index, remaining_code) -> (allocations, cdf): the per-state
-        # option CDF tables the sampling pass resolves against. The
-        # root-column table is built eagerly with the DP; deeper states
-        # are memoized on first visit during sample. cdf_memo_dirty
-        # flags growth since the plan last exported the memo
-        # (persistence).
-        self._cdf_memo: dict[
-            tuple[int, int], tuple[np.ndarray, np.ndarray]
-        ] = {}
-        self.cdf_memo_dirty = False
-        # The deterministic forward/backward build can be deferred when
-        # the memo was seeded from a persisted plan (from_cdf_seed): warm
-        # draws then never pay for it, and a state miss triggers it late.
-        self._source = instance
-        self._built = False
-        if build:
-            self._ensure_built()
-
-    @classmethod
-    def from_cdf_seed(
-        cls,
-        instance: ClassifiedBipartite,
-        entries: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]],
-    ) -> "_PreparedVectorized":
-        """An evaluator whose CDF memo is pre-seeded and whose DP build
-        is deferred until a memo miss (restart warm path)."""
-        prepared = cls(instance, build=False)
-        prepared._cdf_memo.update(entries)
-        return prepared
-
-    def _ensure_built(self) -> None:
-        if self._built:
-            return
-        instance = self._source
-        weights = np.asarray(instance.class_weights, dtype=np.float64)
-        a = self._a
-        b = self._b
-        num_rows = len(a)
-        num_cols = len(b)
-        strides = self._strides
-        a_arr = self._a_arr
-
-        positive = weights > 0.0
-        with np.errstate(divide="ignore"):
-            log_weights = np.where(
-                positive, np.log(np.where(positive, weights, 1.0)), 0.0
-            )
-        max_count = max(a, default=0)
-        lgamma_table = np.array(
-            [math.lgamma(k + 1) for k in range(max_count + 1)]
-        )
-
-        col_comps: list[np.ndarray] = []
-        col_log_factors: list[np.ndarray] = []
-        for c in range(num_cols):
-            caps = tuple(min(r, b[c]) for r in a)
-            comps = compositions_array(b[c], caps)
-            if comps.shape[0] == 0:
-                log_factors = np.empty(0)
-            else:
-                log_factors = (
-                    comps @ log_weights[:, c] - lgamma_table[comps].sum(axis=1)
-                )
-                blocked = ~positive[:, c]
-                if blocked.any():
-                    infeasible = (comps[:, blocked] > 0).any(axis=1)
-                    log_factors = np.where(infeasible, -np.inf, log_factors)
-            col_comps.append(comps)
-            col_log_factors.append(log_factors)
-        self._col_comps = col_comps
-        self._col_log_factors = col_log_factors
-        # Static per-column pieces of a state's option law, hoisted out of
-        # _state_cdf so memo misses pay only the remaining-dependent work:
-        # the finite-factor mask and each allocation's radix code.
-        self._col_finite = [np.isfinite(lf) for lf in col_log_factors]
-        self._col_comp_codes = [comps @ strides for comps in col_comps]
-
-        # Forward pass: reachable states after each column's allocation.
-        layers: list[tuple[np.ndarray, np.ndarray]] = []
-        states = a_arr.reshape(1, num_rows)
-        layers.append((states, states @ strides))
-        for c in range(num_cols):
-            comps_f, __ = self._finite_columns(c)
-            states = layers[-1][0]
-            rest_blocks: list[np.ndarray] = []
-            if comps_f.shape[0] and states.shape[0]:
-                block = max(
-                    1, self._BLOCK_ELEMENTS // (comps_f.shape[0] * num_rows + 1)
-                )
-                for lo in range(0, states.shape[0], block):
-                    chunk = states[lo:lo + block]
-                    feasible = (
-                        comps_f[None, :, :] <= chunk[:, None, :]
-                    ).all(axis=2)
-                    rest_blocks.append(
-                        (chunk[:, None, :] - comps_f[None, :, :])[feasible]
-                    )
-            if rest_blocks:
-                rests = np.concatenate(rest_blocks, axis=0)
-            else:
-                rests = np.empty((0, num_rows), dtype=np.int64)
-            codes = rests @ strides
-            codes, first = np.unique(codes, return_index=True)
-            layers.append((rests[first], codes))
-        self._layers = layers
-
-        # Backward pass: log partition values per layer (the log_suffix DP,
-        # vectorized over whole (state, allocation) blocks at once).
-        values: list[np.ndarray | None] = [None] * (num_cols + 1)
-        final_codes = layers[num_cols][1]
-        values[num_cols] = np.where(final_codes == 0, 0.0, -np.inf)
-        for c in range(num_cols - 1, -1, -1):
-            states, codes = layers[c]
-            comps_f, log_factors_f = self._finite_columns(c)
-            level = np.full(states.shape[0], -np.inf)
-            if comps_f.shape[0] and states.shape[0]:
-                next_codes = layers[c + 1][1]
-                next_values = values[c + 1]
-                comp_codes = comps_f @ strides
-                block = max(
-                    1, self._BLOCK_ELEMENTS // (comps_f.shape[0] * num_rows + 1)
-                )
-                for lo in range(0, states.shape[0], block):
-                    chunk = states[lo:lo + block]
-                    feasible = (
-                        comps_f[None, :, :] <= chunk[:, None, :]
-                    ).all(axis=2)
-                    rest_codes = codes[lo:lo + block, None] - comp_codes[None, :]
-                    tails = _lookup(rest_codes, next_codes, next_values)
-                    totals = np.where(
-                        feasible & np.isfinite(tails),
-                        log_factors_f[None, :] + tails,
-                        -np.inf,
-                    )
-                    peak = totals.max(axis=1)
-                    live = peak > -np.inf
-                    if live.any():
-                        shifted = np.exp(totals[live] - peak[live, None])
-                        level[lo:lo + block][live] = (
-                            peak[live] + np.log(shifted.sum(axis=1))
-                        )
-            values[c] = level
-        self._values = values
-
-        if values[0][0] == -math.inf:
-            raise MatchingError(
-                "instance admits no positive-weight perfect matching "
-                "(class permanent is zero)"
-            )
-        self._built = True
-        # Eager root table: every draw starts at (column 0, full counts),
-        # so the "built once at prepare time" CDF is always this one.
-        root = (0, self._root_code)
-        if num_cols and root not in self._cdf_memo:
-            self._cdf_memo[root] = self._state_cdf(0, a_arr, self._root_code)
-            self.cdf_memo_dirty = True
-
-    def _finite_columns(self, col_index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Allocations with a finite weight factor (the only contributors)."""
-        finite = np.isfinite(self._col_log_factors[col_index])
-        return (
-            self._col_comps[col_index][finite],
-            self._col_log_factors[col_index][finite],
-        )
-
-    def nbytes(self) -> int:
-        """Bytes of the layered DP state (layers, values, per-column aux).
-
-        Composition tables are shared through the global
-        :func:`compositions_array` cache, so they are charged there, not
-        per prepared object.
-        """
-        total = 0
-        for allocations, cdf in self._cdf_memo.values():
-            total += allocations.nbytes + cdf.nbytes
-        if not self._built:
-            return int(total)
-        for states, codes in self._layers:
-            total += states.nbytes + codes.nbytes
-        for values in self._values:
-            if values is not None:
-                total += values.nbytes
-        for mask in self._col_finite:
-            total += mask.nbytes
-        for codes in self._col_comp_codes:
-            total += codes.nbytes
-        for factors in self._col_log_factors:
-            total += factors.nbytes
-        return int(total)
-
-    def _state_cdf(
-        self, col_index: int, remaining: np.ndarray, remaining_code: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(feasible allocations, option CDF) for one DP state.
-
-        The option weights are ``exp(logs - logs.max())``; the CDF is
-        their cumsum, consumed by scaling a uniform with ``cdf[-1]`` (no
-        normalize).
-        """
-        self._ensure_built()
-        comps = self._col_comps[col_index]
-        log_factors = self._col_log_factors[col_index]
-        option_logs = np.full(comps.shape[0], -np.inf)
-        if comps.shape[0]:
-            feasible = (
-                (comps <= remaining).all(axis=1)
-                & self._col_finite[col_index]
-            )
-            if feasible.any():
-                rest_codes = (
-                    remaining_code - self._col_comp_codes[col_index][feasible]
-                )
-                tails = _lookup(
-                    rest_codes,
-                    self._layers[col_index + 1][1],
-                    self._values[col_index + 1],
-                )
-                option_logs[feasible] = log_factors[feasible] + tails
-        options = np.flatnonzero(np.isfinite(option_logs))
-        if options.shape[0] == 0:
-            raise MatchingError(
-                f"dead end at column class {col_index}: "
-                "no feasible allocation"
-            )
-        logs = option_logs[options]
-        weights = np.exp(logs - logs.max())
-        return comps[options], np.cumsum(weights)
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """One uniform block, inverse-CDF per column.
-
-        Consumes exactly one generator invocation per table draw. States
-        resolve through the CDF memo, so a warm (or seeded) evaluator
-        runs no feasibility masking, no ``exp``, and no DP lookups.
-        """
-        strides = self._strides
-        num_cols = len(self._b)
-        uniforms = rng.random(num_cols)
-        remaining_code = self._root_code
-        remaining = None  # materialized lazily, only for memo misses
-        table = np.zeros((len(self._a), num_cols), dtype=np.int64)
-        for col_index in range(num_cols):
-            key = (col_index, remaining_code)
-            entry = self._cdf_memo.get(key)
-            if entry is None:
-                if remaining is None:
-                    remaining = self._a_arr - table[:, :col_index].sum(axis=1)
-                entry = self._state_cdf(col_index, remaining, remaining_code)
-                self._cdf_memo[key] = entry
-                self.cdf_memo_dirty = True
-            allocations, cdf = entry
-            choice = int(
-                cdf.searchsorted(uniforms[col_index] * cdf[-1], "right")
-            )
-            choice = min(choice, allocations.shape[0] - 1)
-            allocation = allocations[choice]
-            table[:, col_index] = allocation
-            remaining_code -= int(allocation @ strides)
-            if remaining is not None:
-                remaining = remaining - allocation
-        return table
-
-    def export_cdf_entries(
-        self,
-    ) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
-        """The CDF memo for persistence (shallow copies of the arrays)."""
-        return dict(self._cdf_memo)
-
-
-def _lookup(
-    codes: np.ndarray, layer_codes: np.ndarray, layer_values: np.ndarray
-) -> np.ndarray:
-    """Values of encoded states in a sorted layer; -inf when absent."""
-    if layer_codes.shape[0] == 0:
-        return np.full(codes.shape, -np.inf)
-    index = np.searchsorted(layer_codes, codes)
-    index = np.minimum(index, layer_codes.shape[0] - 1)
-    found = layer_codes[index] == codes
-    return np.where(found, layer_values[index], -np.inf)
-
-
 def prepare_contingency_dp(
     instance: ClassifiedBipartite,
     *,
     implementation: str = "auto",
-    comp_memo: dict | None = None,
 ):
     """Build the deterministic half of the contingency DP for reuse.
 
     Returns a prepared evaluator whose ``sample(rng) -> table`` is its
-    one sampling pass. The forward/backward (or recursive suffix)
-    passes are functions of the instance alone -- no randomness touches
-    them -- so one build can serve every future draw against an equal
-    (counts, weights) instance; that reuse is the core of the batched
-    placement engine (see :class:`repro.core.placement_plan.PlacementPlan`).
-
+    one sampling pass; the suffix partition values are functions of the
+    instance alone, so one build can serve repeated draws against it.
     ``implementation`` dispatch matches :func:`sample_contingency_table`:
-    ``"auto"`` picks closed form / pure Python / layered numpy by
-    instance shape, ``"vectorized"`` and ``"reference"`` pin an
-    evaluator. A state space too large to encode in int64 falls back to
-    the reference recursion, which only materializes reachable states
-    lazily -- checked *before* enumerating per-column composition
-    tables, whose size grows with the same combinatorics. ``comp_memo``
-    optionally shares a plan-scope composition memo between reference
-    builds.
+    ``"auto"`` takes the closed form for single-row/column instances and
+    the reference recursion otherwise; ``"reference"`` always runs the
+    recursion.
     """
     if implementation == "auto":
         trivial = _trivial_table(instance)
         if trivial is not None:
             return _PreparedTrivial(trivial)
-        if instance.size <= _SMALL_INSTANCE_SIZE:
-            return _PreparedReference(instance, comp_memo)
-    elif implementation == "reference":
-        return _PreparedReference(instance, comp_memo)
-    elif implementation != "vectorized":
+    elif implementation != "reference":
         raise MatchingError(
             f"unknown contingency DP implementation {implementation!r}"
         )
-    state_space = 1
-    for count in instance.row_counts:
-        state_space *= int(count) + 1
-    if state_space >= (1 << 62):
-        return _PreparedReference(instance, comp_memo)
-    return _PreparedVectorized(instance)
-
-
-def restore_prepared_vectorized(
-    instance: ClassifiedBipartite,
-    entries: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]],
-):
-    """A build-deferred vectorized evaluator seeded from persisted CDFs.
-
-    Returns ``None`` whenever :func:`prepare_contingency_dp` would
-    dispatch ``instance`` to a different evaluator (trivial closed form,
-    the small-instance reference DP, or the int64 radix-overflow
-    fallback) -- the caller then builds normally. Otherwise the returned
-    evaluator serves ``sample`` straight from the seeded memo and only
-    runs the forward/backward passes on a state miss, which is what
-    makes a restart's first warm draw cheap.
-    """
-    if _trivial_table(instance) is not None:
-        return None
-    if instance.size <= _SMALL_INSTANCE_SIZE:
-        return None
-    state_space = 1
-    for count in instance.row_counts:
-        state_space *= int(count) + 1
-    if state_space >= (1 << 62):
-        return None
-    return _PreparedVectorized.from_cdf_seed(instance, entries)
+    return _PreparedReference(instance)
 
 
 def sample_contingency_table(
@@ -835,18 +425,14 @@ def sample_contingency_table(
 
     where Z is the memoized suffix partition function.
 
-    ``implementation`` selects the evaluator -- all sample the same law:
+    ``implementation`` selects the evaluator -- both sample the same law:
 
     - ``"auto"`` (default): closed form for single-row/column instances,
-      the pure-Python recursion for small general instances, and the
-      layered numpy DP for everything else (numpy overhead beats Python
-      only once instances carry roughly > 6 midpoints);
-    - ``"vectorized"``: always the layered numpy DP;
-    - ``"reference"``: always the original pure-Python DP (seed-faithful
-      baseline for benchmarks and cross-validation).
+      the recursion otherwise;
+    - ``"reference"``: always the recursion.
 
     One-shot convenience over :func:`prepare_contingency_dp` + sample;
-    batch workloads keep the prepared object and sample it repeatedly.
+    repeated draws keep the prepared object and sample it repeatedly.
     """
     prepared = prepare_contingency_dp(instance, implementation=implementation)
     return prepared.sample(np.random.default_rng(rng))
@@ -943,7 +529,7 @@ def sample_assignment_by_classes(
     sampling a perfect matching of the expanded bipartite graph with
     probability proportional to its weight, but in time polynomial in the
     number of classes. ``implementation`` is forwarded to the contingency
-    DP (``"auto"``, ``"vectorized"``, or ``"reference"``).
+    DP (``"auto"`` or ``"reference"``).
     """
     rng = np.random.default_rng(rng)
     table = sample_contingency_table(instance, rng, implementation=implementation)

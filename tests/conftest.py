@@ -37,3 +37,29 @@ def weighted_triangle() -> "graphs.WeightedGraph":
     return graphs.WeightedGraph.from_edges(
         3, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)]
     )
+
+
+@pytest.fixture
+def oracle_placement(monkeypatch):
+    """Route the phase walk's placement through the resampling oracle.
+
+    ``oracle_placement(method, seed=0, **kwargs)`` swaps the Section
+    2.1.3 front for :func:`repro.core.placement.resample_placement` with
+    its own generator, so end-to-end tests can run the matching samplers
+    the production path no longer calls.
+    """
+    from repro.core import phase
+    from repro.core.placement import resample_placement
+
+    def install(method: str, seed: int = 0, **kwargs) -> None:
+        rng = np.random.default_rng(seed)
+
+        def resample(view, t_star, *, clique=None):
+            return resample_placement(
+                view, t_star, view.bank.half_power, rng,
+                method=method, clique=clique, **kwargs,
+            )
+
+        monkeypatch.setattr(phase, "place_midpoints", resample)
+
+    return install

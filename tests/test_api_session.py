@@ -90,16 +90,16 @@ class TestSessionLifecycle:
         "family,n,matmul,expected",
         [
             ("wheel", 12, "analytic", dict(
-                approximate_rounds=1938, approximate_phases=6,
-                exact_rounds=3497, exact_phases=11,
-                fastcover_rounds=1433, fastcover_walk_length=256,
+                approximate_rounds=1933, approximate_phases=6,
+                exact_rounds=3491, exact_phases=11,
+                fastcover_rounds=1411, fastcover_walk_length=256,
                 broadcast_rounds=684, broadcast_phases=1,
             )),
             # Broadcast cannot run under simulated-3d: its columns stay 0.
             ("cycle", 8, "simulated-3d", dict(
-                approximate_rounds=1920, approximate_phases=7,
+                approximate_rounds=1928, approximate_phases=7,
                 exact_rounds=2009, exact_phases=7,
-                fastcover_rounds=1410, fastcover_walk_length=256,
+                fastcover_rounds=1514, fastcover_walk_length=256,
                 broadcast_rounds=0, broadcast_phases=0,
             )),
         ],
@@ -107,7 +107,9 @@ class TestSessionLifecycle:
     )
     def test_roundbill_golden(self, family, n, matmul, expected):
         """A pinned-seed bill: every registry variant draws from one
-        stream in registry order, so the columns depend on that order."""
+        stream in registry order, so the columns depend on that order.
+        Regenerated once per RNG-contract break, last for "v3" (see
+        tests/README.md)."""
         from repro.api.responses import RoundBillReport
         from repro.graphs.families import build_family
 

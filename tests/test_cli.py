@@ -59,7 +59,8 @@ class TestSampleCommand:
     def test_json_golden(self, capsys):
         """Golden test: the --json envelope for a pinned seed/instance.
 
-        Regenerated once for the v2 RNG contract (see tests/README.md).
+        Regenerated once per RNG-contract break, last for "v3" (see
+        tests/README.md).
         """
         code = main([
             "sample", "--family", "cycle", "--n", "6", "--json",
@@ -72,13 +73,13 @@ class TestSampleCommand:
         for key, value in {
             "family": "cycle", "requested_n": 6, "n": 6,
             "size_adjusted": False, "variant": "approximate", "seed": 0,
-            "rng_contract": "v2",
+            "rng_contract": "v3",
         }.items():
             assert payload["meta"][key] == value, key
         assert payload["result"]["tree"] == [
             [0, 5], [1, 2], [2, 3], [3, 4], [4, 5]
         ]
-        assert payload["result"]["rounds"] == 1110
+        assert payload["result"]["rounds"] == 1111
         assert payload["result"]["phases"] == 5
 
     def test_deterministic_given_seed(self, capsys):
@@ -240,7 +241,7 @@ class TestRngContractFlag:
         assert main(["sample", "--family", "cycle", "--n", "6", "--json",
                      "--ell", "1024"]) == 0
         meta = json.loads(capsys.readouterr().out)["meta"]
-        assert meta["rng_contract"] == "v2"
+        assert meta["rng_contract"] == "v3"
 
     def test_rejects_unknown_contract(self, capsys):
         with pytest.raises(SystemExit):

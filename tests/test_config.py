@@ -31,8 +31,25 @@ class TestValidation:
     def test_bad_policies(self):
         with pytest.raises(ConfigError):
             SamplerConfig(on_failure="retry")
-        with pytest.raises(ConfigError):
+        # The matching method is retired, not a policy with bad values.
+        with pytest.raises(TypeError):
             SamplerConfig(matching_method="jsv")
+
+    def test_retired_matching_knobs_fail_loudly(self):
+        """matching_method and mcmc_steps are gone: placement reads the
+        bank, so naming either fails instead of being ignored."""
+        from dataclasses import fields
+
+        from repro.api import preset_config
+
+        assert len(fields(SamplerConfig)) == 18
+        for name, value in (("matching_method", "mcmc"), ("mcmc_steps", 10)):
+            with pytest.raises(
+                ConfigError, match=rf"unknown config field\(s\).*{name}"
+            ):
+                preset_config("fast-audit", **{name: value})
+            with pytest.raises(TypeError):
+                SamplerConfig(**{name: value})
 
     def test_bad_precision(self):
         with pytest.raises(ConfigError):
@@ -76,11 +93,6 @@ class TestResolution:
 
     def test_ell_override(self):
         assert SamplerConfig(ell=1 << 10).resolve_ell(100) == 1 << 10
-
-    def test_matching_tv_budget(self):
-        config = SamplerConfig(epsilon=0.01)
-        budget = config.matching_tv_budget(16, 1 << 12)
-        assert budget == pytest.approx(0.01 / (4 * 4 * 12))
 
     def test_normalizer_floor(self):
         config = SamplerConfig(normalizer_floor_exponent=3.0)

@@ -83,7 +83,12 @@ class TestDPBlowupGuard:
             pair_counts[pair] = pair_counts.get(pair, 0) + 1
         bank = MidpointBank(pair_counts, half, rng)
         view = LevelView(walk, bank)
-        result = place_midpoints(view, view.top, half, rng)
+        clique = CongestedClique(5)
+        result = place_midpoints(view, view.top, clique=clique)
+        # Billed as the per-pair protocol, not the matching's submatrix.
+        categories = clique.ledger.rounds_by_category()
+        assert "placement/pair-multisets" in categories
+        assert "placement/submatrix" not in categories
         assert result.spacing == 2
         truncated = view.truncated_pair_counts(view.top)
         expected = bank.truncated_counts(truncated)

@@ -236,7 +236,9 @@ class TestClassSamplerVsExpandedSampler:
 
 
 class TestVectorizedVsReferenceDP:
-    """The vectorized contingency DP is a drop-in for the original."""
+    """``"auto"`` dispatch (closed form or the recursion) is a drop-in for
+    the pinned reference recursion. The class keeps the name it had
+    beside the retired layered-numpy DP, so test ids stay stable."""
 
     def _instance(self):
         return ClassifiedBipartite(
@@ -279,7 +281,7 @@ class TestVectorizedVsReferenceDP:
             col_counts=(2,),
             class_weights=np.array([[0.0], [1.0]]),
         )
-        for implementation in ("vectorized", "reference"):
+        for implementation in ("auto", "reference"):
             with pytest.raises(MatchingError):
                 sample_contingency_table(
                     inst, implementation=implementation
@@ -293,18 +295,20 @@ class TestVectorizedVsReferenceDP:
                 self._instance(), implementation="gpu"
             )
 
-    def test_reference_matching_method_end_to_end(self, monkeypatch):
-        """The reference DP is no config choice of its own any more
-        (``"exact-dp-reference"`` is rejected), but ``"exact-dp"`` still
-        runs it end to end for small instances."""
+    def test_reference_matching_method_end_to_end(
+        self, monkeypatch, oracle_placement
+    ):
+        """The matching method is no config choice any more (naming it
+        is a ``TypeError``), but the resampling oracle still runs the
+        reference DP end to end under a phase walk."""
         from repro import graphs
         from repro.core import CongestedCliqueTreeSampler, SamplerConfig
-        from repro.errors import ConfigError
         from repro.graphs import is_spanning_tree
         from repro.matching.sampler import _PreparedReference
 
-        with pytest.raises(ConfigError, match="unknown matching method"):
+        with pytest.raises(TypeError):
             SamplerConfig(matching_method="exact-dp-reference")
+        oracle_placement("exact-dp")
         builds = []
         original = _PreparedReference.__init__
 
@@ -314,7 +318,7 @@ class TestVectorizedVsReferenceDP:
 
         monkeypatch.setattr(_PreparedReference, "__init__", counting_init)
         g = graphs.complete_graph(16)
-        config = SamplerConfig(ell=1 << 10, matching_method="exact-dp")
+        config = SamplerConfig(ell=1 << 10)
         tree = CongestedCliqueTreeSampler(g, config).sample_tree(
             np.random.default_rng(0)
         )

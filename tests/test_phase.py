@@ -95,12 +95,44 @@ class TestPhaseWalkDistribution:
         )
         assert tv < 0.09
 
-    def test_mcmc_matching_also_correct(self, rng):
+    def test_extended_walk_matches_stopped_walk(self):
+        """A nominal length far below the cover time forces Appendix 5.1
+        extensions on most draws (each keeping the full quota); the
+        concatenated, cut walk still has the stopped-walk law."""
+        from statutil import assert_same_tree_law
+
+        g = graphs.cycle_with_chord(8)
+        transition = g.transition_matrix()
+        rho = 6
+        rng = np.random.default_rng(3)
+
+        def signature(walk):
+            return (min(len(walk), 12), walk[-1])
+
+        extensions = 0
+        distributed = []
+        for _ in range(2000):
+            stats = PhaseStats(subset_size=8, rho_eff=rho)
+            walk = run_phase_walk(
+                transition, 0, rho, SamplerConfig(ell=4), rng, stats=stats
+            )
+            extensions += stats.extensions
+            distributed.append(signature(walk))
+        direct = [
+            signature(walk_until_distinct(g, 0, rho, rng))
+            for _ in range(2000)
+        ]
+        assert extensions > 2000  # the extension path really ran
+        assert_same_tree_law(distributed, direct, label="extended walks")
+
+    def test_mcmc_matching_also_correct(self, rng, oracle_placement):
+        """The phase walk with placement resampled by the MCMC oracle."""
         g = graphs.complete_graph(4)
         # Explicit proposal budget: the default 10 B^3 across every level
         # of every sample makes this test needlessly slow, and these
         # instances (B <= ~8) mix in far fewer proposals.
-        config = SamplerConfig(ell=64, matching_method="mcmc", mcmc_steps=600)
+        oracle_placement("mcmc", mcmc_steps=600)
+        config = SamplerConfig(ell=64)
         transition = g.transition_matrix()
         n_samples = 1000
         distributed = Counter(

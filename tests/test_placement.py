@@ -1,4 +1,9 @@
-"""Tests for midpoint placement (Lemmas 3-4, Appendix 5.3)."""
+"""Tests for midpoint placement (Lemmas 3-4, Appendix 5.3).
+
+The production fronts place every midpoint from the bank; the matching
+samplers and the per-pair shuffle are exercised through the resampling
+oracle :func:`repro.core.placement.resample_placement`.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,11 @@ import pytest
 
 from repro import graphs
 from repro.core.midpoints import MidpointBank
-from repro.core.placement import place_by_pair_multisets, place_midpoints
+from repro.core.placement import (
+    place_by_pair_multisets,
+    place_midpoints,
+    resample_placement,
+)
 from repro.core.truncation import LevelView, find_truncation_index
 from repro.linalg import PowerLadder
 
@@ -28,12 +37,30 @@ def build_level(rng, vertices, spacing=4, graph=None):
     return LevelView(walk, bank), half
 
 
+class TestBankPlacement:
+    """The production front reads every position from the bank."""
+
+    @pytest.mark.parametrize(
+        "front", [place_midpoints, place_by_pair_multisets]
+    )
+    def test_every_position_is_the_banks(self, rng, front):
+        view, half = build_level(rng, [0, 2, 0, 3, 1])
+        t_star = find_truncation_index(view, 4)
+        state = rng.bit_generator.state
+        result = front(view, t_star)
+        assert result.spacing == 2
+        assert result.vertices == [view.value_at(t) for t in range(t_star + 1)]
+        assert rng.bit_generator.state == state  # no randomness drawn
+
+
 @pytest.mark.parametrize("method", ["exact-dp", "exact-permanent", "mcmc"])
 class TestPlaceMidpoints:
+    """The resampling oracle keeps the protocol's structure."""
+
     def test_structure_preserved(self, rng, method):
         view, half = build_level(rng, [0, 2, 0, 3, 1])
         t_star = find_truncation_index(view, 4)
-        result = place_midpoints(view, t_star, half, rng, method=method)
+        result = resample_placement(view, t_star, half, rng, method=method)
         # Spacing halves; even positions keep the old vertices.
         assert result.spacing == 2
         assert len(result.vertices) == t_star + 1
@@ -46,7 +73,7 @@ class TestPlaceMidpoints:
         t_star = find_truncation_index(view, 5)
         truncated = view.truncated_pair_counts(t_star)
         expected = view.bank.truncated_counts(truncated)
-        result = place_midpoints(view, t_star, half, rng, method=method)
+        result = resample_placement(view, t_star, half, rng, method=method)
         placed = Counter(
             result.vertices[t] for t in range(1, t_star + 1, 2)
         )
@@ -58,7 +85,7 @@ class TestPlaceMidpoints:
         t_star = find_truncation_index(view, 5)
         t_final = t_star if t_star % 2 == 1 else t_star - 1
         true_final = view.value_at(t_final)
-        result = place_midpoints(view, t_star, half, rng, method=method)
+        result = resample_placement(view, t_star, half, rng, method=method)
         assert result.vertices[t_final] == true_final
 
 
@@ -84,6 +111,8 @@ class TestPlacementDistribution:
         return {k: v / n_samples for k, v in law.items()}
 
     def _placed_law(self, rng, method, n_samples=2000):
+        """``method="bank"`` is the production placement, anything else
+        names the resampling oracle's sampler."""
         g = graphs.complete_graph(4)
         ladder = PowerLadder(g.transition_matrix(), 4)
         from repro.walks.fill import PartialWalk
@@ -98,13 +127,16 @@ class TestPlacementDistribution:
                 half = ladder.power(spacing // 2)
                 bank = MidpointBank(pair_counts, half, rng)
                 view = LevelView(walk, bank)
-                walk = place_midpoints(
-                    view, view.top, half, rng, method=method
-                )
+                if method == "bank":
+                    walk = place_midpoints(view, view.top)
+                else:
+                    walk = resample_placement(
+                        view, view.top, half, rng, method=method
+                    )
             law[tuple(walk.vertices)] += 1
         return {k: v / n_samples for k, v in law.items()}
 
-    @pytest.mark.parametrize("method", ["exact-dp", "mcmc"])
+    @pytest.mark.parametrize("method", ["exact-dp", "mcmc", "bank"])
     def test_reconstruction_matches_direct(self, rng, method):
         direct = self._direct_law(rng)
         placed = self._placed_law(rng, method)
@@ -116,12 +148,13 @@ class TestPlacementDistribution:
 
 
 class TestPairMultisetPlacement:
-    """Appendix 5.3's exact placement."""
+    """Appendix 5.3's exact placement: the bank front, and the leader's
+    per-pair shuffle through the oracle."""
 
     def test_structure_and_multisets(self, rng):
         view, half = build_level(rng, [0, 2, 0, 2, 1])
         t_star = find_truncation_index(view, 5)
-        result = place_by_pair_multisets(view, t_star, rng)
+        result = place_by_pair_multisets(view, t_star)
         assert result.spacing == 2
         truncated = view.truncated_pair_counts(t_star)
         expected = view.bank.truncated_counts(truncated)
@@ -132,7 +165,9 @@ class TestPairMultisetPlacement:
         """Unlike the matching placement, each pair keeps its own multiset."""
         view, half = build_level(rng, [0, 2, 0, 2, 0])
         t_star = view.top
-        result = place_by_pair_multisets(view, t_star, rng)
+        result = resample_placement(
+            view, t_star, half, rng, method="pair-multisets"
+        )
         for pair in {(0, 2), (2, 0)}:
             slots = [
                 t for t in range(1, t_star + 1, 2)
@@ -149,7 +184,9 @@ class TestPairMultisetPlacement:
         t_star = find_truncation_index(view, 5)
         t_final = t_star if t_star % 2 == 1 else t_star - 1
         true_final = view.value_at(t_final)
-        result = place_by_pair_multisets(view, t_star, rng)
+        result = resample_placement(
+            view, t_star, half, rng, method="pair-multisets"
+        )
         assert result.vertices[t_final] == true_final
 
     def test_matches_direct_distribution(self, rng):
@@ -175,7 +212,7 @@ class TestPairMultisetPlacement:
                 half = ladder.power(spacing // 2)
                 bank = MidpointBank(pair_counts, half, rng)
                 view = LevelView(walk, bank)
-                walk = place_by_pair_multisets(view, view.top, rng)
+                walk = place_by_pair_multisets(view, view.top)
             placed[tuple(walk.vertices)] += 1
         keys = set(direct) | set(placed)
         tv = 0.5 * sum(

@@ -1,17 +1,16 @@
 """Fault injection for the placement layer and its fallback boundaries.
 
-Covers the failure surfaces the batched rewrite must preserve:
+Covers the failure surfaces of the placement layer and its oracle DP:
 
 - zero-weight columns and infeasible (zero-permanent) instances raise
   ``MatchingError`` from every DP implementation and from prepared
   builds;
 - degenerate single-class instances take the closed-form path (no
   randomness) and still reject infeasible weights;
-- the ``_DP_STATE_BUDGET`` guard falls back to the Appendix 5.3
-  per-pair-multiset placement -- same law, tested end to end
-  (previously untested);
-- the int64 mixed-radix overflow guard in the vectorized DP falls back
-  to the reference recursion (previously untested);
+- the ``_DP_STATE_BUDGET`` guard switches the bill to the Appendix 5.3
+  per-pair-multiset protocol -- same law, tested end to end;
+- the reference recursion handles state spaces past int64 (63 unit row
+  classes), since it only ever visits reachable states;
 - the Section 5.2 precision floor still aborts into the brute-force
   sequential fill identically over cold and warm plans (exercising the
   plan-backed ``repro.core.phase._fill_level`` path).
@@ -29,7 +28,6 @@ from repro.errors import MatchingError
 from repro.graphs.spanning import is_spanning_tree
 from repro.matching.sampler import (
     ClassifiedBipartite,
-    _PreparedReference,
     _trivial_table,
     prepare_contingency_dp,
     sample_contingency_table,
@@ -37,7 +35,7 @@ from repro.matching.sampler import (
 
 from statutil import assert_matches_tree_law, draw_trees
 
-ALL_IMPLEMENTATIONS = ["auto", "vectorized", "reference"]
+ALL_IMPLEMENTATIONS = ["auto", "reference"]
 
 
 class TestInfeasibleInstances:
@@ -161,9 +159,8 @@ class TestStateBudgetFallback:
         assert estimate > 1e18  # saturated, not overflowed
 
     def test_budget_fallback_draws_valid_trees(self, monkeypatch):
-        """With the budget forced to 1 every placement takes the
-        Appendix 5.3 per-pair path; trees stay valid (the fallback sits
-        before any plan involvement)."""
+        """With the budget forced to 1 every placement is billed as the
+        Appendix 5.3 per-pair protocol; trees stay valid."""
         import repro.core.placement as placement
 
         monkeypatch.setattr(placement, "_DP_STATE_BUDGET", 1)
@@ -175,8 +172,8 @@ class TestStateBudgetFallback:
             assert is_spanning_tree(graph, tree)
 
     def test_budget_fallback_preserves_the_tree_law(self, monkeypatch):
-        """The fallback resamples the same conditional law exactly: the
-        chi-square harness cannot tell it from the DP path."""
+        """The fallback bills another protocol, never another law: the
+        chi-square harness cannot tell the trees apart."""
         import repro.core.placement as placement
 
         monkeypatch.setattr(placement, "_DP_STATE_BUDGET", 1)
@@ -189,8 +186,8 @@ class TestStateBudgetFallback:
 
 class TestRadixOverflowFallback:
     def _radix_overflow_instance(self) -> ClassifiedBipartite:
-        """63 unit row classes: the mixed-radix state encoding needs
-        2^63 codes, past the int64 guard."""
+        """63 unit row classes: a mixed-radix state encoding would need
+        2^63 codes, past int64."""
         return ClassifiedBipartite(
             row_labels=tuple(range(63)),
             row_counts=(1,) * 63,
@@ -199,28 +196,22 @@ class TestRadixOverflowFallback:
             class_weights=np.ones((63, 2)),
         )
 
-    def test_vectorized_request_falls_back_to_reference(self):
-        instance = self._radix_overflow_instance()
-        prepared = prepare_contingency_dp(instance, implementation="vectorized")
-        assert isinstance(prepared, _PreparedReference)
-
     def test_fallback_samples_the_reference_stream(self):
-        """Same seed => byte-identical tables via either entry point."""
+        """The reference recursion visits reachable states only, so the
+        instance samples; "auto" draws byte-identical tables."""
         instance = self._radix_overflow_instance()
         for seed in range(3):
-            fallback = sample_contingency_table(
-                instance,
-                np.random.default_rng(seed),
-                implementation="vectorized",
+            auto = sample_contingency_table(
+                instance, np.random.default_rng(seed)
             )
             reference = sample_contingency_table(
                 instance,
                 np.random.default_rng(seed),
                 implementation="reference",
             )
-            assert np.array_equal(fallback, reference)
-            assert fallback.sum() == 63
-            assert (fallback.sum(axis=1) <= 1).all()
+            assert np.array_equal(auto, reference)
+            assert auto.sum() == 63
+            assert (auto.sum(axis=1) <= 1).all()
 
 
 class TestPrecisionFloorFallback:

@@ -1,25 +1,24 @@
 """The walk layer's block-draw RNG contract: accounting, determinism, hygiene.
 
-The walk layer draws one uniform block per level (and per DP table,
-expansion and first-visit group) and resolves every decision by
-``searchsorted`` against precomputed CDFs; no per-decision
-``rng.choice(p=...)`` or ``rng.permutation`` call survives. The
-contract (the "v2" that responses still report) is the only one; its
-load-bearing properties:
+The walk layer draws one uniform block per level (and per first-visit
+group) and resolves every decision by ``searchsorted`` against
+precomputed CDFs; no per-decision ``rng.choice(p=...)`` or
+``rng.permutation`` call survives, and midpoint placement draws nothing
+at all (it reads the bank's sequences). The contract (the "v3" that
+responses report) is the only one; its load-bearing properties:
 
-1. **Stream accounting** -- a draw makes O(levels + DP layers)
-   generator invocations, not O(pairs + columns), and none of them is a
-   per-decision ``choice`` / ``permutation``. Counted with an
-   instrumented ``Generator`` subclass.
+1. **Stream accounting** -- a draw makes O(levels) generator
+   invocations, not O(pairs + columns), none of them is a per-decision
+   ``choice`` / ``permutation``, and none comes from placement. Counted
+   with an instrumented ``Generator`` subclass.
 2. **Determinism** -- draws are byte-identical across ensemble
    job counts, cache tiers (cold / warm-memory / warm-disk), linalg
    backends, and plan warmth. The bits consumed depend only on the
    (seed, config numerics) pair, never on how the plan was populated.
 3. **Cumsum-once** -- plan-served laws are cumsummed exactly once and
    memoized; no per-draw renormalization runs on the hot path.
-4. **DP-seed persistence** -- the hottest prepared-DP CDF tables ride
-   plan.npz to disk, and a restarted process serves its first block
-   draws from the seeded memo without rebuilding the DP.
+4. **Restart identity** -- a plan restored from plan.npz draws the
+   same trees as a freshly built one.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import pytest
 
 from repro import graphs
 from repro.core.config import SamplerConfig
-from repro.core.placement_plan import PLAN_MEMBERS, PlacementPlan
+from repro.core.placement_plan import PlacementPlan
 from repro.engine.runner import SamplerEngine
 from repro.errors import ConfigError
 
@@ -68,8 +67,9 @@ class CountingGenerator(np.random.Generator):
 
 class TestConfigSurface:
     def test_default_is_v2(self):
-        """The block-draw ("v2") contract is the only one: no config
-        field selects another (responses still report it; see
+        """The block-draw contract ("v2", "v3" since placement reads the
+        bank) is the only one: no config field selects another
+        (responses report it; see
         test_meta_reports_contract_not_placement_mode)."""
         from dataclasses import fields
 
@@ -105,15 +105,39 @@ class TestStreamAccounting:
     def test_block_scaled_with_no_per_decision_draws(self, variant):
         rng, phases = self._count(variant)
         # Structural ceiling: per phase, the walk layer draws one block
-        # per level for the midpoint bank, at most three blocks per
-        # level for placement (DP table + expansion + multiset shuffle),
-        # one end-vertex uniform, and one first-visit block (measured
-        # 87 calls against a 240 ceiling for the approximate variant).
+        # per level for the midpoint bank, one end-vertex uniform, and
+        # one first-visit block; placement draws none (measured 50
+        # calls against a 240 ceiling for the approximate variant).
         levels = int(math.log2(1 << 8)) + 2
         assert rng.calls <= phases * (4 * levels + 8)
         # No decision is drawn on its own: every call is a uniform block.
         assert rng.by_method.get("choice", 0) == 0
         assert rng.by_method.get("permutation", 0) == 0
+
+    @pytest.mark.parametrize("variant", ["approximate", "exact"])
+    def test_placement_draws_no_uniforms(self, variant, monkeypatch):
+        """Both placement fronts read the bank: the generator's call
+        count is the same before and after every placement."""
+        from repro.core import phase
+
+        rng = CountingGenerator(3)
+        placements = []
+        for name in ("place_midpoints", "place_by_pair_multisets"):
+            front = getattr(phase, name)
+
+            def counted(*args, front=front, **kwargs):
+                before = rng.calls
+                walk = front(*args, **kwargs)
+                placements.append(rng.calls - before)
+                return walk
+
+            monkeypatch.setattr(phase, name, counted)
+        engine = SamplerEngine(
+            graphs.complete_graph(16), SamplerConfig(ell=1 << 8),
+            variant=variant,
+        )
+        engine.run(rng)
+        assert placements and set(placements) == {0}
 
     def test_v2_counts_stable_across_warm_draws(self):
         """Plan warmth changes invocation counts by nothing at all."""
@@ -213,7 +237,8 @@ class TestNormalizeOnce:
 
 
 class TestDpSeedPersistence:
-    """Prepared-DP CDF tables ride plan.npz across process restarts."""
+    """Plans ride plan.npz across process restarts. (The name is from
+    the retired contingency-DP seed columns; kept for stable test ids.)"""
 
     def _sessions(self, tmp_path):
         from repro.api import EnsembleRequest, Session, preset_config
@@ -225,67 +250,10 @@ class TestDpSeedPersistence:
         request = EnsembleRequest(count=2, seed=5, jobs=1)
         return graph, config, request, Session
 
-    def test_plan_blob_carries_dp_seeds(self, tmp_path):
-        from repro.engine.store import PLAN_BLOB
-
-        graph, config, request, Session = self._sessions(tmp_path)
-        Session(graph, config, seed=0).run(request)
-        seeded = 0
-        for blob in tmp_path.glob(f"blobs/*/{PLAN_BLOB}"):
-            with np.load(blob) as arrays:
-                assert set(arrays.keys()) == set(PLAN_MEMBERS)
-                digests = arrays["dp_digests"]
-                key_counts = arrays["dp_key_counts"]
-                keys = arrays["dp_keys"]
-                counts = arrays["dp_counts"]
-                cdfs = arrays["dp_cdfs"]
-            if digests.shape[0]:
-                # A complete record: every digest's keys, every key's
-                # option count, the cdf values those counts tile.
-                assert key_counts.shape == digests.shape
-                assert int(key_counts.sum()) == keys.shape[0]
-                assert int(counts.sum()) == cdfs.shape[0]
-                seeded += 1
-        assert seeded > 0, "the hot phase-1 entry must spill DP seeds"
-
-    def test_warm_restart_serves_first_draw_from_seed(self, tmp_path):
-        from repro.engine.store import PLAN_BLOB
-
-        graph, config, request, Session = self._sessions(tmp_path)
-        cold = Session(graph, config, seed=0).run(request)
-
-        # The spilled blobs restore their seeds through from_arrays (the
-        # vectorized-DP phases export; trivially small phases don't).
-        seeded_blobs = 0
-        for blob in tmp_path.glob(f"blobs/*/{PLAN_BLOB}"):
-            with np.load(blob) as arrays:
-                if not arrays["dp_digests"].shape[0]:
-                    continue
-                plan = PlacementPlan.from_arrays(arrays)
-            assert plan._dp_seeds, "a seed-bearing blob must restore seeds"
-            seeded_blobs += 1
-        assert seeded_blobs > 0
-
-        warm = Session(graph, config, seed=0)
-        second = warm.run(request)
-        assert second.result.trees == cold.result.trees
-        # At least one evaluator in the warm run was restored from its
-        # seeded CDF memo and served every draw without running the
-        # forward/backward build (the first-draw-after-restart floor
-        # this removes).
-        restored = [
-            prepared
-            for entry in warm._cache.memory._entries.values()
-            if entry.plan is not None
-            for prepared in entry.plan._dps.values()
-            if getattr(prepared, "_built", True) is False
-        ]
-        assert restored
-        assert all(prepared._cdf_memo for prepared in restored)
-
     def test_seeded_draws_match_built_draws(self, tmp_path):
-        """Restored-from-seed evaluators draw byte-identical tables to
-        freshly built ones -- restart warmth never changes outputs."""
+        """A session seeded from the spilled plans draws byte-identical
+        trees and bills to a freshly built one -- restart warmth never
+        changes outputs."""
         graph, config, request, Session = self._sessions(tmp_path)
         cold = Session(graph, config, seed=0).run(request)
         warm = Session(graph, config, seed=0).run(request)

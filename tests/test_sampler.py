@@ -106,22 +106,29 @@ class TestDiagnostics:
 
 
 class TestConfigurations:
+    # "permanent" and "mcmc" were matching-method configs; the matching
+    # samplers are oracles now, so those cells run the phase walk with
+    # placement resampled by the oracle instead.
     @pytest.mark.parametrize(
-        "config",
+        "config,oracle",
         [
-            SamplerConfig(ell=1 << 10, matching_method="exact-permanent"),
-            SamplerConfig(ell=1 << 10, matching_method="mcmc"),
-            SamplerConfig(ell=1 << 10, rho=3),
-            SamplerConfig(ell=1 << 10, start_vertex=2),
-            SamplerConfig(ell=1 << 10, precision_bits=48),
-            SamplerConfig(ell=1 << 10, matmul_backend="simulated-3d"),
+            (SamplerConfig(ell=1 << 10), "exact-permanent"),
+            (SamplerConfig(ell=1 << 10), "mcmc"),
+            (SamplerConfig(ell=1 << 10, rho=3), None),
+            (SamplerConfig(ell=1 << 10, start_vertex=2), None),
+            (SamplerConfig(ell=1 << 10, precision_bits=48), None),
+            (SamplerConfig(ell=1 << 10, matmul_backend="simulated-3d"), None),
         ],
         ids=[
             "permanent", "mcmc", "rho3",
             "start2", "rounded", "simulated-matmul",
         ],
     )
-    def test_all_configurations_sample_valid_trees(self, rng, config):
+    def test_all_configurations_sample_valid_trees(
+        self, rng, config, oracle, oracle_placement
+    ):
+        if oracle is not None:
+            oracle_placement(oracle)
         g = graphs.cycle_with_chord(7)
         tree = CongestedCliqueTreeSampler(g, config).sample_tree(rng)
         assert is_spanning_tree(g, tree)

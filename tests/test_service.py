@@ -87,14 +87,18 @@ class TestEnvelopeValidation:
 
     @pytest.mark.parametrize(
         "field",
-        ["schur_method", "shortcut_method", "placement_mode", "rng_contract"],
+        [
+            "schur_method", "shortcut_method", "placement_mode",
+            "rng_contract", "matching_method", "mcmc_steps",
+        ],
     )
     def test_retired_config_fields_rejected(self, field):
         # Both derived-graph method knobs were retired when ShortCut and
         # Schur moved onto one kernel, placement_mode when every phase
-        # came to run over a placement plan, and rng_contract when block
-        # draws became the only RNG contract; old clients get the usual
-        # 400.
+        # came to run over a placement plan, rng_contract when block
+        # draws became the only RNG contract, and the two matching knobs
+        # when placement moved onto the bank's sequences; old clients
+        # get the usual 400.
         with pytest.raises(ServiceError, match="unknown config field"):
             parse_service_envelope(envelope(config={field: "x"}), LIMITS)
 

@@ -47,18 +47,18 @@ class TestTheorem1Sampler:
         sampler = CongestedCliqueTreeSampler(GRAPH, FAST)
         assert_uniform([sampler.sample_tree(rng) for _ in range(1500)])
 
-    def test_uniform_with_mcmc_matching(self):
+    def test_uniform_with_mcmc_matching(self, oracle_placement):
+        """Placement resampled by the MCMC oracle instead of read from
+        the bank."""
         rng = np.random.default_rng(12)
         # Explicit small proposal budget: placement instances on this
         # graph can hold hundreds of midpoints, where the default budget
         # costs seconds per draw. The chain starts at the true placement
         # (already stationary), so the budget does not affect exactness
-        # -- see place_midpoints; cold-start mixing is exercised in
+        # -- see resample_placement; cold-start mixing is exercised in
         # tests/test_matching_sampler.py instead.
-        config = SamplerConfig(
-            ell=1 << 10, matching_method="mcmc", mcmc_steps=200
-        )
-        sampler = CongestedCliqueTreeSampler(GRAPH, config)
+        oracle_placement("mcmc", mcmc_steps=200)
+        sampler = CongestedCliqueTreeSampler(GRAPH, FAST)
         assert_uniform([sampler.sample_tree(rng) for _ in range(800)])
 
     def test_uniform_with_reduced_precision(self):
