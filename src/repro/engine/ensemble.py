@@ -20,6 +20,12 @@ from the same sampler. :class:`EnsembleEngine` runs them two ways:
   draws are yielded incrementally (in draw order) as their worker chunks
   complete instead of after the whole batch.
 
+Each pool worker starts capped at its share of the host's BLAS threads
+(:func:`~repro.linalg.threads.blas_budget`), so ``jobs`` workers do not
+oversubscribe the cores with inherited OpenBLAS pools. Thread counts move
+matrix entries in their last ulps but not trees or round bills
+(test-pinned across jobs counts).
+
 Workers receive ``(weights, config, variant, seeds)`` payloads; results
 (:class:`~repro.engine.results.SampleResult`) are plain dataclasses and
 pickle cleanly. If process spawning is unavailable (restricted sandboxes,
@@ -37,7 +43,6 @@ it warm-starts numerics. jobs=1 and jobs=N remain byte-identical.
 from __future__ import annotations
 
 import logging
-import os
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -52,6 +57,7 @@ from repro.engine.runner import SamplerEngine
 from repro.errors import GraphError
 from repro.graphs.core import WeightedGraph
 from repro.graphs.spanning import TreeKey
+from repro.linalg.threads import available_cpus, blas_budget, limit_blas_threads
 
 __all__ = [
     "EnsembleResult",
@@ -315,7 +321,7 @@ class EnsembleEngine:
             payloads = self._chunk_payloads(seeds, chunk_size)
             pool = None
             try:
-                pool = ProcessPoolExecutor(max_workers=jobs)
+                pool = self._pool(jobs)
                 futures = [
                     pool.submit(_draw_chunk, payload)
                     for payload in payloads
@@ -377,10 +383,19 @@ class EnsembleEngine:
     @staticmethod
     def _resolve_jobs(jobs: int | None, count: int) -> int:
         if jobs is None:
-            jobs = os.cpu_count() or 1
+            jobs = available_cpus()
         if jobs < 1:
             raise GraphError(f"jobs must be >= 1, got {jobs}")
         return min(jobs, count)
+
+    @staticmethod
+    def _pool(jobs: int) -> ProcessPoolExecutor:
+        """A ``jobs``-worker pool, each worker on its share of the BLAS threads."""
+        return ProcessPoolExecutor(
+            max_workers=jobs,
+            initializer=limit_blas_threads,
+            initargs=(blas_budget(jobs),),
+        )
 
     def _chunk_payloads(
         self, seeds: list[np.random.SeedSequence], chunk_size: int
@@ -416,7 +431,7 @@ class EnsembleEngine:
         engine = self.engine
         payloads = self._chunk_payloads(seeds, (len(seeds) + jobs - 1) // jobs)
         try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with self._pool(jobs) as pool:
                 chunked = list(pool.map(_draw_chunk, payloads))
         except (OSError, BrokenProcessPool, pickle.PicklingError) as error:
             # Process *machinery* failures only (sandboxed fork, broken

@@ -28,6 +28,11 @@ Reproducibility contract (property-tested): the disk tier cold, warm, or
 disabled never changes sampled trees or round ledgers -- ``.npy``/``.npz``
 round trips preserve float64 entries bit-for-bit, and cache hits replay
 the recorded charge recipe exactly as the in-memory tier always has.
+Bit-for-bit means "as the writer computed them", not canonical: processes
+at different BLAS thread counts (budgeted pool workers vs a front end,
+see :mod:`repro.linalg.threads`) can compute entries that differ in the
+last ulps, and the first writer's bytes are what the tier serves. Trees
+and ledgers are pinned identical across thread counts.
 
 The same persistence directory also hosts this machine's sparse-crossover
 calibration profile (:mod:`repro.linalg.calibrate`).
@@ -436,7 +441,8 @@ class DiskTier:
         plan without its numerics is useless, and lookup only reads
         blobs under a meta.json-bearing directory). One atomic
         ``os.replace`` of a single file, so concurrent workers racing on
-        the same digest just last-write-win a bit-equal payload. Returns
+        the same digest just last-write-win a complete payload (equal up
+        to last-ulp BLAS differences between writers). Returns
         True when the blob was written; the caller clears the plan's
         dirty flags only then, so a failed spill is retried next run.
         """

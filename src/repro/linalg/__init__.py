@@ -20,7 +20,9 @@ subtractive error):
 - :mod:`repro.linalg.backend` -- the dense/sparse storage backends
   (:class:`~repro.linalg.backend.DenseLinalg` /
   :class:`~repro.linalg.backend.SparseLinalg`) plus the format-agnostic
-  matrix accessors the walk layer consumes.
+  matrix accessors the walk layer consumes;
+- :mod:`repro.linalg.threads` -- the per-worker OpenBLAS thread budget
+  every forked process pool applies in its initializer.
 """
 
 from repro.linalg.backend import (

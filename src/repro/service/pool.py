@@ -33,6 +33,7 @@ from dataclasses import replace
 
 from repro.api.presets import get_preset
 from repro.api.session import Session
+from repro.linalg.threads import blas_budget, limit_blas_threads
 from repro.service import faults
 from repro.service.protocol import ServiceTask
 
@@ -115,8 +116,14 @@ class SessionPool:
 _WORKER_POOL: SessionPool | None = None
 
 
-def init_worker(cache_dir: str | None, limit: int) -> None:
+def init_worker(
+    cache_dir: str | None, limit: int, blas_threads: int | None
+) -> None:
     """ProcessPoolExecutor initializer: build this worker's session pool.
+
+    ``blas_threads`` caps the worker's OpenBLAS pools (the supervisor
+    passes its :func:`~repro.linalg.threads.blas_budget`); ``None``
+    leaves the inherited thread count alone.
 
     The worker also becomes its own process-group leader: ensemble
     requests fork a nested worker pool, and those grandchildren inherit
@@ -131,6 +138,7 @@ def init_worker(cache_dir: str | None, limit: int) -> None:
             os.setpgid(0, 0)
         except OSError:  # already a leader, or the platform refuses
             pass
+    limit_blas_threads(blas_threads)
     global _WORKER_POOL
     _WORKER_POOL = SessionPool(limit=limit, cache_dir=cache_dir)
 
@@ -201,6 +209,9 @@ class ShardSupervisor:
         self.breaker_reset_seconds = breaker_reset_seconds
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
+        # Each shard's share of the host's BLAS threads; None when the
+        # operator pinned OPENBLAS_NUM_THREADS / OMP_NUM_THREADS.
+        self.blas_threads = blas_budget(workers)
         self._pool: ProcessPoolExecutor | None = None
         self._consecutive_crashes = 0
         self._breaker_open_at: float | None = None
@@ -213,7 +224,7 @@ class ShardSupervisor:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=init_worker,
-                initargs=(self.cache_dir, self.session_cap),
+                initargs=(self.cache_dir, self.session_cap, self.blas_threads),
             )
         return self._pool
 
@@ -304,4 +315,5 @@ class ShardSupervisor:
             "crashes": self.crashes,
             "consecutive_crashes": self._consecutive_crashes,
             "respawns": self.respawns,
+            "blas_threads": self.blas_threads,
         }
