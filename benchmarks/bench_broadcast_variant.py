@@ -72,7 +72,7 @@ def _measure_variant(graph, variant: str, cache_dir: str) -> dict:
     start = time.perf_counter()
     cold = session.run(request)
     cold_seconds = time.perf_counter() - start
-    session.run(request)  # warm-up: numerics and plans now cached
+    session.run(request)  # warm-up: numerics now cached
     warm_seconds = math.inf
     warm = None
     for __ in range(REPEATS):

@@ -1,5 +1,14 @@
 """Cold vs warm-memory vs warm-disk ensemble draws over the tiered cache.
 
+This is a **same-seed replay microbenchmark**: all three runs draw the
+same seeds, so every warm phase finds its numerics cached. It says what
+the cache saves on replays and restarts, not what a fresh-seed request
+costs; that is perfbench's ``fresh-dense`` / ``fresh-sparse``
+(``perfbench/run.py``). The JSON carries ``"scenario": "replay"``. The
+warm runs read phase numerics only: walk laws and first-visit tables
+are recomputed on every draw, and no placement-plan blob is written or
+read.
+
 The tiered derived-graph store (:mod:`repro.engine.store`) exists for one
 reason: a restarted process (service restart, fresh CLI invocation,
 ensemble worker) should not rebuild ShortCut/Schur matrices and Lemma 7
@@ -126,6 +135,7 @@ def run_benchmark(ns: list[int], ell: int) -> dict:
     rows = [measure_instance(n, ell) for n in ns]
     return {
         "bench": "cache_warmstart",
+        "scenario": "replay",
         "family": FAMILY,
         "draws": DRAWS,
         "ell": ell,

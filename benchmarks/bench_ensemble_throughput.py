@@ -5,7 +5,7 @@ TV estimation, leverage marginals) draw hundreds of trees from one
 sampler. The seed architecture paid the full per-draw cost in a Python
 loop -- per-draw derived-graph rebuilds and the pure-Python contingency
 DP. The engine batches this: a cross-sample
-:class:`~repro.engine.cache.DerivedGraphCache` with warm placement plans,
+:class:`~repro.engine.cache.DerivedGraphCache` of phase numerics,
 and multi-process fan-out via
 :meth:`~repro.engine.ensemble.EnsembleEngine.sample_ensemble`. (Both
 sides now place midpoints from the bank; no contingency DP runs.)
@@ -13,8 +13,7 @@ sides now place midpoints from the bank; no contingency DP runs.)
 Measured here, for n in {32, 64, 128} at 200 draws:
 
 - ``baseline``: a ``sample_many`` loop with per-draw numeric rebuilds
-  (``derived_cache=False``, so every phase also starts from a cold
-  placement plan), timed over a smaller sample and reported as
+  (``derived_cache=False``), timed over a smaller sample and reported as
   trees/second;
 - ``single``: ``sample_ensemble(200, jobs=1)``;
 - ``multi``: ``sample_ensemble(200, jobs=2)`` (recorded even on 1-CPU
@@ -115,7 +114,7 @@ def test_ensemble_throughput(benchmark, report):
         )
     lines.append(
         "shape check: engine >= 2x the uncached loop at n=64 (derived-graph "
-        "cache + warm placement plans), trees byte-identical across "
+        "cache), trees byte-identical across "
         f"jobs counts; JSON at {OUTPUT.name}"
     )
     report("E22 / ensemble throughput (engine vs uncached loop)", lines)

@@ -191,7 +191,7 @@ class Session:
             "seed": request.seed,
             "linalg_backend": self._linalg_name,
             # The walk layer's one RNG contract: block draws against
-            # plan CDFs, midpoints placed from the bank's sequences
+            # per-level CDFs, midpoints placed from the bank's sequences
             # ("v3"; the same seed gave another tree under "v2").
             "rng_contract": "v3",
             "seconds": round(time.perf_counter() - start, 6),

@@ -19,7 +19,6 @@ Public entry points:
 
 from repro.core.config import SamplerConfig
 from repro.core.direction4 import Direction4Result, Direction4Sampler
-from repro.core.placement_plan import PlacementPlan
 from repro.core.exact import (
     ExactTreeSampler,
     exact_sample_with_diagnostics,
@@ -56,7 +55,6 @@ __all__ = [
     "SamplerConfig",
     "Direction4Result",
     "Direction4Sampler",
-    "PlacementPlan",
     "ExactTreeSampler",
     "exact_sample_with_diagnostics",
     "sample_spanning_tree_exact",

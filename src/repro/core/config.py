@@ -8,8 +8,8 @@ How the walk layer consumes randomness is not a knob. The paper fixes
 the *law* of every walk-layer decision, not which generator bits realize
 it, and there is one realization: per level (and per first-visit group)
 one uniform block is drawn and every pending decision is resolved by
-``searchsorted`` against CDFs the phase's
-:class:`~repro.core.placement_plan.PlacementPlan` caches. Nor is the
+``searchsorted`` against CDFs computed for that level or phase
+(:func:`~repro.core.midpoints.level_cdfs`), memoized nowhere. Nor is the
 matching sampler a knob: midpoint placement reads the bank's own
 sequences, which already follow Lemma 3's law
 (:mod:`repro.core.placement`).

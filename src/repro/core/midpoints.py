@@ -18,23 +18,76 @@ then answers exactly the queries the leader's protocol is allowed:
 - the per-vertex total counts that form the multiset ``M`` (step 3 of
   Algorithm 3 / the multiset collection of Lemma 4).
 
+Every ``M_{p,q}`` of a level gathers its law in the same round, so the
+simulation computes one level's laws in one gather
+(:func:`level_cdfs`), with no memo across levels, phases or draws.
+
 Round costs are charged on the shared clique when one is supplied.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.clique.network import CongestedClique
-from repro.core.placement_plan import PlacementPlan
 from repro.errors import PrecisionError, WalkError
+from repro.linalg.backend import is_sparse_matrix
 
-__all__ = ["MidpointBank"]
+__all__ = ["MidpointBank", "level_cdfs", "pair_laws"]
 
 Pair = tuple[int, int]
+
+# Most floats per gathered block: a level is gathered LAW_BATCH_FLOATS // n
+# pairs at a time, so the row and column gathers stay at 8 MiB each (1024
+# pairs at n = 1024) however wide the level. Default-config draws at
+# n = 1024 peak at about 130 pairs per level, one chunk.
+LAW_BATCH_FLOATS = 1 << 20
+
+
+def pair_laws(half_power, ps, qs, out: np.ndarray | None = None) -> np.ndarray:
+    """Formula 1's unnormalized laws, one row per pair.
+
+    Row ``i`` is ``half_power[ps[i], :] * half_power[:, qs[i]]``: the
+    same products, so the same bits, as the per-pair vectors. A CSR
+    ``half_power`` pays one row gather and one column gather for all
+    pairs.
+    """
+    if is_sparse_matrix(half_power):
+        rows = half_power[ps].toarray()
+        cols = half_power[:, qs].toarray().T
+    else:
+        rows = half_power[ps]
+        cols = half_power[:, qs].T
+    return np.multiply(rows, cols, out=out)
+
+
+def level_cdfs(
+    half_power, pairs: Sequence[Pair]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(cdfs, totals)`` for one level's distinct pairs.
+
+    ``cdfs[i]`` is the row cumsum of pair ``i``'s unnormalized law (a
+    draw scales its uniform by ``cdfs[i, -1]``; nothing is normalized)
+    and ``totals[i]`` the law's sum, the Section 5.2 normalizer. Both
+    are bit-equal to the per-pair ``cumsum`` and ``sum``. Pairs are
+    gathered in chunks of at most :data:`LAW_BATCH_FLOATS` floats.
+    """
+    n = half_power.shape[0]
+    k = len(pairs)
+    ps = np.fromiter((p for p, __ in pairs), dtype=np.intp, count=k)
+    qs = np.fromiter((q for __, q in pairs), dtype=np.intp, count=k)
+    cdfs = np.empty((k, n))
+    totals = np.empty(k)
+    step = max(1, LAW_BATCH_FLOATS // n)
+    for lo in range(0, k, step):
+        hi = min(k, lo + step)
+        block = pair_laws(half_power, ps[lo:hi], qs[lo:hi], out=cdfs[lo:hi])
+        block.sum(axis=1, out=totals[lo:hi])
+        np.cumsum(block, axis=1, out=block)
+    return cdfs, totals
 
 
 class MidpointBank:
@@ -61,15 +114,12 @@ class MidpointBank:
         Optional clique simulator to charge the Algorithm 2 communication
         (count requests + distribution gathering).
     plan / level:
-        The phase's :class:`~repro.core.placement_plan.PlacementPlan`
-        and the level's half-spacing exponent (its memo key for
-        ``half_power``). Each per-pair law
-        ``P^{delta/2}[p, *] * P^{delta/2}[*, q]`` comes from the plan's
-        memo, computed there on first use, so levels, extension segments
-        and draws that meet a pair again share one vector. Without a
-        plan the bank uses a private one.
+        Ignored. Laws are gathered per level (:func:`level_cdfs`) and
+        memoized nowhere; the keywords remain so call sites written for
+        the retired per-pair memo run unchanged.
 
-    Every pair's normalizer floor is validated *first* (a
+    The level's laws are computed in one gather and every pair's
+    normalizer floor is validated *first* (a
     :class:`~repro.errors.PrecisionError` fallback then leaves the
     generator untouched); the bank then draws one uniform block for the
     whole level and resolves each pair's draws by ``searchsorted``
@@ -85,10 +135,9 @@ class MidpointBank:
         normalizer_floor: float = 0.0,
         clique: CongestedClique | None = None,
         leader: int = 0,
-        plan: PlacementPlan | None = None,
+        plan: object | None = None,
         level: int = 0,
     ) -> None:
-        plan = plan or PlacementPlan()
         self.pair_counts = dict(pair_counts)
         self.half_power = half_power
         self._sequences: dict[Pair, np.ndarray] = {}
@@ -119,23 +168,21 @@ class MidpointBank:
         # Validate every pair's floor before any randomness is
         # consumed: the Section 5.2 fallback can then rerun the level
         # with the generator exactly where it started.
-        pending: list[tuple[Pair, int, np.ndarray]] = []
+        cdfs, totals = level_cdfs(half_power, list(self.pair_counts))
         total_count = 0
-        for pair, count in self.pair_counts.items():
+        for (pair, count), total in zip(self.pair_counts.items(), totals):
             if count < 0:
                 raise WalkError(f"negative count for pair {pair}")
-            cdf, total = plan.cdf(level, *pair, half_power)
             if total <= normalizer_floor or total <= 0.0:
                 raise PrecisionError(
                     f"midpoint normalizer for pair {pair} is "
                     f"{total:.3e}, below the floor "
                     f"{normalizer_floor:.3e}"
                 )
-            pending.append((pair, count, cdf))
             total_count += count
         block = rng.random(total_count) if total_count else None
         cursor = 0
-        for pair, count, cdf in pending:
+        for (pair, count), cdf in zip(self.pair_counts.items(), cdfs):
             uniforms = (
                 block[cursor:cursor + count]
                 if count

@@ -31,11 +31,11 @@ import numpy as np
 
 from repro.clique.network import CongestedClique
 from repro.core.config import SamplerConfig
-from repro.core.midpoints import MidpointBank
+from repro.core.midpoints import MidpointBank, level_cdfs
 from repro.core.placement import place_by_pair_multisets, place_midpoints
-from repro.core.placement_plan import PlacementPlan
 from repro.core.truncation import LevelView, find_truncation_index_fast
 from repro.errors import PrecisionError, SamplingError, WalkError
+from repro.linalg.backend import matrix_row
 from repro.linalg.matpow import PowerLadder
 from repro.walks.fill import PartialWalk, _truncate_at_distinct
 
@@ -78,36 +78,34 @@ def _fill_level(
     walk: PartialWalk,
     half_power,
     rng: np.random.Generator,
-    *,
-    plan: PlacementPlan,
-    level: int,
 ) -> PartialWalk:
     """Insert one midpoint into every gap, halving the spacing.
 
-    The level consumes one uniform block (one generator invocation for
-    all gaps) and resolves each gap by ``searchsorted`` against its
-    cumulative law from ``plan``. This is the Section 5.2 fallback's
-    sequential fill; :mod:`repro.walks.fill` keeps the planless
-    reference.
+    The level's distinct pairs share one law gather
+    (:func:`~repro.core.midpoints.level_cdfs`); the level consumes one
+    uniform block (one generator invocation for all gaps) and resolves
+    each gap by ``searchsorted`` against its pair's cumulative law.
+    This is the Section 5.2 fallback's sequential fill;
+    :mod:`repro.walks.fill` keeps the per-gap reference.
     """
     if walk.spacing % 2 != 0:
         raise WalkError(f"cannot halve odd spacing {walk.spacing}")
     pairs = walk.pairs()
-    cdfs: list[np.ndarray] = []
-    for p, q in pairs:
-        cdf, total = plan.cdf(level, p, q, half_power)
+    row_of = {pair: row for row, pair in enumerate(dict.fromkeys(pairs))}
+    cdfs, totals = level_cdfs(half_power, list(row_of))
+    for (p, q), total in zip(row_of, totals):
         if total <= 0:
             raise WalkError(
                 f"no vertex can be the midpoint between {p} and {q}: "
                 "inconsistent partial walk"
             )
-        cdfs.append(cdf)
     block = rng.random(len(pairs)) if pairs else ()
     new_vertices = [walk.vertices[0]]
-    for (__, q), cdf, u in zip(pairs, cdfs, block):
+    for pair, u in zip(pairs, block):
+        cdf = cdfs[row_of[pair]]
         midpoint = int(cdf.searchsorted(u * cdf[-1], "right"))
         new_vertices.append(min(midpoint, len(cdf) - 1))
-        new_vertices.append(q)
+        new_vertices.append(pair[1])
     return PartialWalk(walk.spacing // 2, new_vertices)
 
 
@@ -121,7 +119,6 @@ def _segment_fill(
     stats: PhaseStats,
     *,
     exact_placement: bool,
-    plan: PlacementPlan,
 ) -> list[int]:
     """One distributed truncated fill of nominal length ``ladder.ell``.
 
@@ -130,9 +127,8 @@ def _segment_fill(
     """
     n = ladder.power(1).shape[0]
     ell = ladder.ell
-    # One uniform against the memoized cumulative end law (extensions
-    # revisit start vertices across draws).
-    end_cdf = plan.end_cdf(start, ladder.power(ell))
+    # One uniform against the cumulative end law P^ell[start, *].
+    end_cdf = np.cumsum(matrix_row(ladder.power(ell), start))
     end = int(end_cdf.searchsorted(rng.random() * end_cdf[-1], "right"))
     end = min(end, n - 1)
     if clique is not None:
@@ -150,7 +146,6 @@ def _segment_fill(
             bank = MidpointBank(
                 pair_counts, half_power, rng,
                 normalizer_floor=floor, clique=clique,
-                plan=plan, level=half,
             )
         except PrecisionError:
             # Section 5.2 fallback: collect the network at the leader
@@ -163,10 +158,7 @@ def _segment_fill(
                 )
             while not walk.is_complete:
                 fill_half = walk.spacing // 2
-                walk = _fill_level(
-                    walk, ladder.power(fill_half), rng,
-                    plan=plan, level=fill_half,
-                )
+                walk = _fill_level(walk, ladder.power(fill_half), rng)
                 walk = _truncate_at_distinct(walk, rho_seg)
             break
         view = LevelView(walk, bank)
@@ -196,7 +188,6 @@ def run_phase_walk(
     ladder: PowerLadder | None = None,
     exact_placement: bool = False,
     stats: PhaseStats | None = None,
-    plan: PlacementPlan | None = None,
 ) -> list[int]:
     """Sample a phase walk stopping at its rho_eff-th distinct vertex.
 
@@ -207,14 +198,10 @@ def run_phase_walk(
     walk as a list of phase-local vertex indices, guaranteed to end at
     the first occurrence of its rho_eff-th distinct vertex.
 
-    ``plan`` is the phase's
-    :class:`~repro.core.placement_plan.PlacementPlan`: midpoint and
-    end laws are served from its memos, so the engine passes the plan its cache entry carries and every draw
-    against the phase shares it. Callers without one get a private plan
-    for this walk. Every decision is drawn as a uniform block resolved
-    against the plan's CDFs.
+    Every decision is drawn as a uniform block resolved against CDFs
+    computed for this walk: one gather of midpoint laws per level and
+    one end-law row per segment, memoized nowhere.
     """
-    plan = plan or PlacementPlan()
     if stats is None:
         stats = PhaseStats(subset_size=transition.shape[0], rho_eff=rho_eff)
     if rho_eff < 2:
@@ -230,7 +217,7 @@ def run_phase_walk(
 
     walk = _segment_fill(
         ladder, start, rho_eff, config, rng, clique, stats,
-        exact_placement=exact_placement, plan=plan,
+        exact_placement=exact_placement,
     )
     seen = set(walk)
     extensions = 0
@@ -255,7 +242,7 @@ def run_phase_walk(
         # the walk.
         segment = _segment_fill(
             ladder, walk[-1], rho_eff, config, rng, clique, stats,
-            exact_placement=exact_placement, plan=plan,
+            exact_placement=exact_placement,
         )
         walk.extend(segment[1:])
         seen = set(walk)

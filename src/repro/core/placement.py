@@ -39,13 +39,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from repro.clique.network import CongestedClique
-from repro.core.midpoints import Pair
-from repro.core.placement_plan import PlacementPlan
+from repro.core.midpoints import Pair, pair_laws
 from repro.core.truncation import LevelView
 from repro.errors import SamplingError, WalkError
 from repro.matching.sampler import (
     ClassifiedBipartite,
     expand_table_to_assignment,
+    prepare_contingency_dp,
     sample_matching_exact,
     sample_matching_mcmc,
 )
@@ -227,7 +227,7 @@ def resample_placement(
     method: str = "exact-dp",
     mcmc_steps: int | None = None,
     clique: CongestedClique | None = None,
-    plan: PlacementPlan | None = None,
+    plan: object | None = None,
     level: int = 0,
 ) -> PartialWalk:
     """Resample the placement of the collected multiset (test oracle).
@@ -237,8 +237,8 @@ def resample_placement(
     selects the sampler:
 
     - ``"exact-dp"``: the class contingency DP
-      (:meth:`~repro.core.placement_plan.PlacementPlan.prepared_dp`) plus
-      a uniform within-class expansion;
+      (:func:`~repro.matching.sampler.prepare_contingency_dp`, built
+      fresh per call) plus a uniform within-class expansion;
     - ``"exact-permanent"``: self-reducible Ryser sampling (instances
       past 16 midpoints switch to ``"exact-dp"``, which samples the same
       law in polynomial time);
@@ -251,13 +251,14 @@ def resample_placement(
       pair's multiset (what the exact variant's leader does).
 
     Past ``_DP_STATE_BUDGET`` the matching methods also fall back to the
-    per-pair shuffle. ``plan`` / ``level`` supply the weight columns from
-    the plan's law memo (a private plan without one). Charges the same
-    ledger entries as the bank placement.
+    per-pair shuffle. The weight columns come from one gather of the
+    column classes' laws (:func:`~repro.core.midpoints.pair_laws`);
+    ``plan`` / ``level`` are ignored, kept so call sites written for the
+    retired per-pair memo run unchanged. Charges the same ledger entries
+    as the bank placement.
     """
     if method == "pair-multisets":
         return _shuffle_pair_multisets(view, t_star, rng, clique)
-    plan = plan or PlacementPlan()
     collected = _collect(view, t_star, clique)
     positions = collected.positions
     multiset = collected.multiset
@@ -277,14 +278,16 @@ def resample_placement(
         col_classes: list[Pair] = sorted(set(pair_for_position.values()))
         col_counts = Counter(pair_for_position.values())
         row_labels = sorted(multiset)
-        # One column per (p, q) class: the memoized full law restricted
+        # One column per (p, q) class: the class's full law restricted
         # to the multiset's labels (gather-after-multiply equals the
         # per-entry products P^{delta/2}[p, x] * P^{delta/2}[x, q]).
+        laws = pair_laws(
+            half_power,
+            np.asarray([p for p, __ in col_classes], dtype=np.intp),
+            np.asarray([q for __, q in col_classes], dtype=np.intp),
+        )
         labels_arr = np.asarray(row_labels, dtype=np.intp)
-        weights = np.empty((len(row_labels), len(col_classes)))
-        for c, (p, q) in enumerate(col_classes):
-            law, __ = plan.law(level, p, q, half_power)
-            weights[:, c] = law[labels_arr]
+        weights = np.ascontiguousarray(laws[:, labels_arr].T)
         instance = ClassifiedBipartite(
             row_labels=tuple(row_labels),
             row_counts=tuple(multiset[x] for x in row_labels),
@@ -297,7 +300,7 @@ def resample_placement(
         _charge_submatrix(clique, distinct)
         per_class = _sample_assignment(
             instance, view, positions, pair_for_position, rng,
-            method=method, mcmc_steps=mcmc_steps, plan=plan,
+            method=method, mcmc_steps=mcmc_steps,
         )
         # Hand the sampled labels to positions class by class, in
         # chronological order within each class.
@@ -320,7 +323,6 @@ def _sample_assignment(
     *,
     method: str,
     mcmc_steps: int | None,
-    plan: PlacementPlan,
 ) -> list[list[int]]:
     """Dispatch to the chosen matching sampler; returns per-column-class
     label lists (chronological within class)."""
@@ -332,7 +334,7 @@ def _sample_assignment(
     if method == "exact-dp":
         # One uniform vector per table draw, resolved column by column
         # against the DP's CDFs, then the uniform within-class expansion.
-        table = plan.prepared_dp(instance).sample(rng)
+        table = prepare_contingency_dp(instance).sample(rng)
         return [
             [int(x) for x in labels]
             for labels in expand_table_to_assignment(instance, table, rng)

@@ -120,14 +120,9 @@ class PhaseNumerics:
     ladder_squarings: int
     ladder_entry_words: int | None
     shortcut_squarings: int  # 0 in phase 1 (no Corollary 2 charge)
-    # The phase's walk-layer memo (laws and first-visit tables; see
-    # repro.core.placement_plan). Rides the cache entry so every draw
-    # against this subset shares it; None until an engine first touches
-    # the entry.
-    plan: object | None = None
 
     def nbytes(self) -> int:
-        """Total bytes held by this entry (matrices + placement plan).
+        """Total bytes held by this entry's matrices.
 
         Matrix bytes are deduplicated by object identity: with
         ``bits=None`` the ladder's base power *is* the transition matrix,
@@ -143,8 +138,6 @@ class PhaseNumerics:
                 continue
             seen.add(id(matrix))
             total += matrix_nbytes(matrix)
-        if self.plan is not None:
-            total += self.plan.nbytes()
         return total
 
 
@@ -232,26 +225,8 @@ class DerivedGraphCache:
             self.evictions += 1
 
     def refresh(self, key: Hashable) -> None:
-        """Re-measure a resident entry whose attached state grew.
-
-        PhaseNumerics entries are append-only *except* for the placement
-        plan hanging off them, which grows as draws touch new structure;
-        the engine calls this at the end of each run so the byte ledger
-        tracks real residency. An entry grown past the whole budget is
-        evicted outright (mirroring store's refusal rule).
-        """
-        entry = self._entries.get(key)
-        if entry is None:
-            return
-        size = _entry_nbytes(entry)
-        if self.max_bytes is not None and size > self.max_bytes:
-            del self._entries[key]
-            self.bytes_used -= self._sizes.pop(key, 0)
-            self.evictions += 1
-            return
-        self.bytes_used += size - self._sizes.get(key, 0)
-        self._sizes[key] = size
-        self._evict_over_budget()
+        """No-op (entries never grow); kept for ``perfbench/tracing.py``
+        until ROADMAP item 1."""
 
     def clear(self) -> None:
         """Drop all entries (statistics are kept)."""

@@ -32,12 +32,11 @@ pickle cleanly. If process spawning is unavailable (restricted sandboxes,
 daemonic parents), the driver degrades to the sequential path with the
 same seeds -- identical results, no failure.
 
-Every worker builds per-phase
-:class:`~repro.core.placement_plan.PlacementPlan`s of its own -- and
-when the config names a ``cache_dir``, workers both load plans earlier
-processes spilled and spill the plans they grow (atomic per-entry
-``plan.npz`` blobs), so a fleet warm-starts classification exactly like
-it warm-starts numerics. jobs=1 and jobs=N remain byte-identical.
+When the config names a ``cache_dir``, workers share phase numerics
+through the disk tier (:mod:`repro.engine.store`). They load and spill
+nothing else: walk laws and first-visit distributions are computed per
+level and per phase in each worker, with no memo. jobs=1 and jobs=N
+remain byte-identical.
 """
 
 from __future__ import annotations

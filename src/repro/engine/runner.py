@@ -29,7 +29,6 @@ from repro.clique.network import CongestedClique
 from repro.clique.routing import broadcast_cc_rounds
 from repro.core.config import SamplerConfig
 from repro.core.phase import PhaseStats, run_phase_walk
-from repro.core.placement_plan import PlacementPlan
 from repro.core.variants import get_variant
 from repro.engine.backends import MatmulBackend, make_matmul_backend
 from repro.engine.cache import (
@@ -142,9 +141,6 @@ class SamplerEngine:
             ).encode()
         )
         self._cache_token = digest.hexdigest()
-        # Plans this run touched, for the end-of-run disk spill:
-        # key -> plan (insertion order keeps spills deterministic).
-        self._touched_plans: dict = {}
 
     # ------------------------------------------------------------------
 
@@ -194,7 +190,6 @@ class SamplerEngine:
             current = walk_orig[-1]
             phase_stats.append(stats)
 
-        self._spill_plans()
         if len(tree_edges) != n - 1 or not is_spanning_tree(graph, tree_edges):
             raise SamplingError(
                 "sampler produced an invalid spanning tree; this is a bug"
@@ -233,7 +228,6 @@ class SamplerEngine:
         transition = numerics.transition
         order = numerics.order
         index_of = {v: i for i, v in enumerate(order)}
-        plan = numerics.plan
 
         # --- Steps 4-5: distributed truncated walk. ---------------------
         # Broadcast variant: the walk machinery consumes the identical
@@ -254,17 +248,14 @@ class SamplerEngine:
             ladder=numerics.ladder,
             exact_placement=self.spec.exact_placement,
             stats=stats,
-            plan=plan,
         )
         walk_orig = [order[i] for i in local_walk]
 
         # --- Step 6: first-visit edges via ShortCut(G, S) (Algorithm 4).
-        # The into-S weight vector is a function of (G, S) alone; hoist
-        # it out of the per-new-vertex loop (same per-row pairwise sums,
-        # so the sampled law is unchanged). Each (prev, v) step's whole
-        # distribution is memoized in the plan across draws -- the cached
-        # arrays are what the cold evaluation returned, so the edge draw
-        # below sees identical probabilities.
+        # S's membership mask and into-S weights are functions of (G, S)
+        # alone; hoist them out of the per-new-vertex loop (same per-row
+        # pairwise sums, so the sampled law is unchanged). Each
+        # distribution is computed for this phase and kept nowhere.
         s_mask = np.zeros(n, dtype=bool)
         s_mask[subset] = True
         weight_into_s = graph.weights[:, s_mask].sum(axis=1)
@@ -278,18 +269,15 @@ class SamplerEngine:
             seen.add(v)
             steps.append((walk_orig[position - 1], v))
         # The phase's first-visit edges share one uniform vector, each
-        # resolved against the memoized cumulative distribution of its
-        # (prev, v) step.
+        # resolved against the cumulative distribution of its (prev, v)
+        # step.
         uniforms = rng.random(len(steps)) if steps else ()
         for (prev, v), uniform in zip(steps, uniforms):
-
-            def _cold_distribution(prev=prev, v=v):
-                return first_visit_edge_distribution(
-                    graph, subset, shortcut, prev, v,
-                    weight_into_s=weight_into_s,
-                )
-
-            neighbors, cdf = plan.first_visit_cdf(prev, v, _cold_distribution)
+            neighbors, probabilities = first_visit_edge_distribution(
+                graph, subset, shortcut, prev, v,
+                weight_into_s=weight_into_s, s_mask=s_mask,
+            )
+            cdf = np.cumsum(probabilities)
             pick = int(cdf.searchsorted(uniform * cdf[-1], "right"))
             pick = min(pick, len(cdf) - 1)
             edges.append((int(neighbors[pick]), v))
@@ -384,48 +372,13 @@ class SamplerEngine:
         cached = self.cache.lookup(key) if self.cache is not None else None
         if cached is not None:
             self._replay_charges(cached, ledger, backend)
-            self._attach_plan(key, cached)
             return cached
         numerics = self._build_numerics(
             subset, is_phase_one, ell, ledger, backend
         )
         if self.cache is not None:
             self.cache.store(key, numerics)
-        self._attach_plan(key, numerics)
         return numerics
-
-    def _attach_plan(self, key, numerics: PhaseNumerics) -> None:
-        """Ensure a phase's numerics entry carries a placement plan.
-
-        The plan hangs off the cache entry (same lifetime, same key), so
-        every engine sharing the entry -- across draws, variants, and
-        sessions -- shares one classification. Touched plans are
-        remembered for the end-of-run disk spill.
-        """
-        numerics.plan = numerics.plan or PlacementPlan()
-        if self.cache is not None:
-            self._touched_plans[key] = numerics.plan
-
-    def _spill_plans(self) -> None:
-        """Write grown plans through to the disk tier (end of a run).
-
-        Only the tiered store persists plans (``store_plan``); the plain
-        in-memory cache keeps them by attachment. Spilling once per run
-        -- not per phase -- bounds write churn: a warm steady-state draw
-        adds nothing and spills nothing. Every touched entry is also
-        re-measured (``refresh``) so the RAM tier's byte ledger tracks
-        plan growth -- including DP scratch, which never spills. A plan
-        stays dirty until a spill is actually published, so an I/O
-        failure costs a retry on the next run, not the growth.
-        """
-        touched, self._touched_plans = self._touched_plans, {}
-        store = getattr(self.cache, "store_plan", None)
-        refresh = getattr(self.cache, "refresh", None)
-        for key, plan in touched.items():
-            if plan.dirty and store is not None and store(key, plan):
-                plan.mark_spilled()
-            if refresh is not None:
-                refresh(key)
 
     def _build_numerics(
         self,

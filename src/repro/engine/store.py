@@ -15,7 +15,12 @@ the missing tier:
   (tmp directory + rename), so concurrent ensemble workers sharing one
   ``cache_dir`` can never observe a half-written entry; loads are
   corruption-tolerant (a bad blob is a miss, never a crash). Byte
-  accounting evicts least-recently-used blobs past ``max_bytes``.
+  accounting evicts least-recently-used blobs past ``max_bytes``. Only
+  numerics persist: the walk layer keeps no memo
+  (:mod:`repro.core.placement_plan`), so nothing is written after an
+  entry is published. A ``plan.npz`` that older versions spilled into
+  an entry directory is never read; it counts toward the entry's bytes
+  and goes when the entry is evicted, pruned or cleared.
 - :class:`TieredPhaseStore` -- the two-tier composite the engine talks
   to: memory hits stay in RAM, memory misses consult the disk tier and
   promote hits back into RAM, stores write through to disk. It exposes
@@ -51,7 +56,6 @@ from typing import Hashable
 
 import numpy as np
 
-from repro.core.placement_plan import PlacementPlan
 from repro.engine.cache import DerivedGraphCache, PhaseNumerics
 from repro.errors import ConfigError
 from repro.linalg.backend import HAVE_SCIPY, is_sparse_matrix
@@ -70,13 +74,6 @@ __all__ = [
 
 STORE_FORMAT_VERSION = 1
 DEFAULT_CACHE_ROOT_ENV = "REPRO_CACHE_DIR"
-# The per-entry placement-plan blob (repro.core.placement_plan): midpoint
-# laws and first-visit tables spilled next to the numerics so a warm
-# restart skips the walk layer's re-classification too. Published by a
-# single atomic file rename *into* an already-published entry directory;
-# optional on read (a missing or bad plan blob is just a cold plan, never
-# a miss on the numerics).
-PLAN_BLOB = "plan.npz"
 # Crash leftovers (tmp dirs whose writer died before the rename) are
 # swept on open, but only once they are unambiguously stale -- a live
 # concurrent writer's tmp dir must never be deleted from under it.
@@ -196,6 +193,7 @@ class DiskTier:
         blobs/<digest>/shortcut.npy|.npz  # one file per matrix
         blobs/<digest>/transition.npy|.npz
         blobs/<digest>/power_<k>.npy|.npz
+        blobs/<digest>/plan.npz           # old volumes only; never read
         index.json                        # advisory LRU/byte ledger
 
     ``index.json`` is *advisory*: it speeds up eviction decisions but the
@@ -260,30 +258,10 @@ class DiskTier:
             self.misses += 1
             self._discard(digest)
             return None
-        numerics.plan = self._load_plan(entry_dir)
         self.hits += 1
         self._touch(digest)
         self._heal_index(digest, entry_dir)
         return numerics
-
-    def _load_plan(self, entry_dir: Path) -> PlacementPlan | None:
-        """The entry's persisted placement plan, or None (never an error).
-
-        A plan blob is an accelerator, not part of the numerics
-        contract: any read failure degrades to a cold plan and removes
-        the broken file so the next spill can republish it.
-        """
-        plan_path = entry_dir / PLAN_BLOB
-        if not plan_path.exists():
-            return None
-        try:
-            # from_arrays reads members by name, so an old-format blob is
-            # rejected on its format stamp without loading the rest.
-            with np.load(plan_path) as arrays:
-                return PlacementPlan.from_arrays(arrays)
-        except Exception:
-            plan_path.unlink(missing_ok=True)
-            return None
 
     def _heal_index(self, digest: str, entry_dir: Path) -> None:
         """Re-register a live blob the ledger lost track of.
@@ -434,44 +412,6 @@ class DiskTier:
         (directory / "meta.json").write_text(json.dumps(meta))
         return _blob_bytes(directory)
 
-    def store_plan(self, key: Hashable, plan: PlacementPlan) -> bool:
-        """Publish (or refresh) an entry's placement-plan blob.
-
-        The plan spills *into* an already-published numerics entry (a
-        plan without its numerics is useless, and lookup only reads
-        blobs under a meta.json-bearing directory). One atomic
-        ``os.replace`` of a single file, so concurrent workers racing on
-        the same digest just last-write-win a complete payload (equal up
-        to last-ulp BLAS differences between writers). Returns
-        True when the blob was written; the caller clears the plan's
-        dirty flags only then, so a failed spill is retried next run.
-        """
-        digest = key_digest(key)
-        entry_dir = self.blobs / digest
-        if not (entry_dir / "meta.json").exists():
-            return False
-        arrays = plan.export_arrays()
-        if arrays is None:  # an empty plan: nothing worth spilling
-            return False
-        tmp = self.blobs / (
-            f".tmp-plan-{digest}-{os.getpid()}-{time.monotonic_ns()}.npz"
-        )
-        try:
-            with open(tmp, "wb") as handle:
-                np.savez(handle, **arrays)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, entry_dir / PLAN_BLOB)
-            _fsync_file(entry_dir)  # durability for the replace itself
-        except OSError:
-            tmp.unlink(missing_ok=True)
-            return False
-        try:
-            self._record(digest, _blob_bytes(entry_dir))
-        except OSError:
-            pass
-        return True
-
     # -- index / eviction ----------------------------------------------
 
     def _index_path(self) -> Path:
@@ -588,7 +528,7 @@ class DiskTier:
                 if now - entry.stat().st_mtime > STALE_TMP_SECONDS:
                     if entry.is_dir():
                         shutil.rmtree(entry, ignore_errors=True)
-                    else:  # abandoned single-file spill (plan blobs)
+                    else:  # a ``.tmp-plan-*.npz`` left by older versions
                         entry.unlink(missing_ok=True)
             except OSError:
                 continue
@@ -709,19 +649,12 @@ class TieredPhaseStore:
         self.memory.store(key, numerics)
         self.disk.store(key, numerics)
 
-    def store_plan(self, key: Hashable, plan: PlacementPlan) -> bool:
-        """Spill a grown placement plan to the shared disk tier.
-
-        The RAM tier needs no write (the plan object already hangs off
-        the resident :class:`PhaseNumerics`); the disk blob is what lets
-        worker processes and future sessions warm-start classification.
-        Returns True when the blob was published.
-        """
-        return self.disk.store_plan(key, plan)
+    def store_plan(self, key: Hashable, plan) -> bool:
+        """Writes nothing; kept for ``perfbench/tracing.py`` until ROADMAP item 1."""
+        return False
 
     def refresh(self, key: Hashable) -> None:
-        """Re-measure the RAM tier's copy of a plan-bearing entry."""
-        self.memory.refresh(key)
+        """No-op; kept for ``perfbench/tracing.py`` until ROADMAP item 1."""
 
     def clear(self, *, disk: bool = False) -> None:
         """Drop the memory tier; optionally delete the disk tier's blobs."""

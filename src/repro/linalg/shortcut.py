@@ -133,6 +133,7 @@ def first_visit_edge_distribution(
     new_vertex: int,
     *,
     weight_into_s: np.ndarray | None = None,
+    s_mask: np.ndarray | None = None,
 ) -> tuple[list[int], np.ndarray]:
     """Algorithm 4's Bayes-rule law for a first-visit edge.
 
@@ -153,11 +154,20 @@ def first_visit_edge_distribution(
     edges (one per new vertex) can compute it once instead of per edge.
     The per-row pairwise sums are the ones this function would compute
     itself, so passing it never changes the sampled law.
+
+    ``s_mask`` optionally carries S as a length-n boolean membership
+    mask, precomputed once per phase like ``weight_into_s``; without it
+    every call sorts and validates ``subset`` again. Masked columns come
+    out in ascending order, as the sorted S does, so the law is
+    bit-equal either way.
     """
     from repro.linalg.backend import matrix_row
 
-    s, _ = split_subset(graph.n, subset)
-    if new_vertex not in s:
+    if s_mask is None:
+        s, _ = split_subset(graph.n, subset)
+        s_mask = np.zeros(graph.n, dtype=bool)
+        s_mask[s] = True
+    if not s_mask[new_vertex]:
         raise GraphError(f"new vertex {new_vertex} must lie in S")
     neighbors = list(graph.neighbors(new_vertex))
     if not neighbors:
@@ -170,7 +180,7 @@ def first_visit_edge_distribution(
     # O(n^2)-per-edge hot spot at interpreter speed.
     neighbor_idx = np.asarray(neighbors, dtype=np.intp)
     if weight_into_s is None:
-        into_s = graph.weights[neighbor_idx][:, s].sum(axis=1)
+        into_s = graph.weights[neighbor_idx][:, s_mask].sum(axis=1)
     else:
         into_s = np.asarray(weight_into_s)[neighbor_idx]
     feasible = into_s > 0  # no S-neighbor => cannot be the entry edge

@@ -21,9 +21,9 @@ Bayes/Markov two-sided law of Formula (1):
 The truncated variant re-truncates after every level so the walk always
 ends at the first occurrence of its rho-th distinct vertex (Lemma 2).
 
-These references take no placement plan: every gap draws from its own
-freshly computed law. The distributed phase's plan-backed level fill
-(its Section 5.2 fallback) lives in :mod:`repro.core.phase`.
+These references draw every gap from its own freshly computed law. The
+distributed phase's level fill, which gathers a level's laws at once
+(its Section 5.2 fallback), lives in :mod:`repro.core.phase`.
 """
 
 from __future__ import annotations

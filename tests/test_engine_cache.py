@@ -307,14 +307,8 @@ class TestCacheBehavior:
                     matrix_nbytes(numerics.ladder.power(k))
                     for k in numerics.ladder.exponents
                 ) + matrix_nbytes(numerics.transition)
-                # An attached placement plan (batched mode) is charged to
-                # the entry too -- it lives and dies with it.
-                plan_bytes = (
-                    0 if numerics.plan is None else numerics.plan.nbytes()
-                )
-                assert total == (
-                    individual - matrix_nbytes(numerics.transition)
-                    + plan_bytes
+                assert total == individual - matrix_nbytes(
+                    numerics.transition
                 )
 
     def test_lru_eviction_bounds_entries(self):

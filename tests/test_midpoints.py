@@ -100,3 +100,61 @@ class TestRoundCharging:
     def test_no_clique_no_charge(self, half_power, rng):
         bank = MidpointBank({(0, 2): 3}, half_power, rng)
         bank.charge_aggregation(None)  # no-op
+
+
+def _random_half_power(n: int, backend: str, seed: int):
+    """A ladder half power of a random sparse-ish graph, in either
+    storage format (the CSR one keeps explicit zeros out)."""
+    rng = np.random.default_rng(seed)
+    graph = graphs.erdos_renyi_graph(n, None, rng)
+    half = PowerLadder(graph.transition_matrix(), 4).power(2)
+    if backend == "sparse":
+        import scipy.sparse as sp
+
+        return sp.csr_matrix(half)
+    return half
+
+
+class TestLevelLaws:
+    """One gather per level is bit-equal to the per-pair vectors."""
+
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize("n", [40, 128])
+    def test_batched_laws_bit_equal_per_pair(self, backend, n):
+        from repro.core.midpoints import level_cdfs, pair_laws
+        from repro.linalg.backend import matrix_col, matrix_row
+
+        half = _random_half_power(n, backend, seed=n)
+        rng = np.random.default_rng(7)
+        pairs = list(dict.fromkeys(
+            (int(p), int(q)) for p, q in rng.integers(0, n, size=(300, 2))
+        ))
+        cdfs, totals = level_cdfs(half, pairs)
+        ps = np.asarray([p for p, __ in pairs], dtype=np.intp)
+        qs = np.asarray([q for __, q in pairs], dtype=np.intp)
+        laws = pair_laws(half, ps, qs)
+        for row, (p, q) in enumerate(pairs):
+            law = matrix_row(half, p) * matrix_col(half, q)
+            assert laws[row].tobytes() == law.tobytes()
+            assert cdfs[row].tobytes() == np.cumsum(law).tobytes()
+            assert totals[row] == float(law.sum())
+
+    def test_chunked_gather_is_bit_equal(self, monkeypatch):
+        """Levels wider than LAW_BATCH_FLOATS are gathered in chunks
+        with the same bits as one gather."""
+        from repro.core import midpoints
+
+        half = _random_half_power(40, "dense", seed=3)
+        pairs = [(p, q) for p in range(40) for q in range(0, 40, 3)]
+        whole = midpoints.level_cdfs(half, pairs)
+        monkeypatch.setattr(midpoints, "LAW_BATCH_FLOATS", 40 * 7)
+        chunked = midpoints.level_cdfs(half, pairs)
+        for got, want in zip(chunked, whole):
+            assert got.tobytes() == want.tobytes()
+
+    def test_empty_level(self, half_power):
+        from repro.core.midpoints import level_cdfs
+
+        cdfs, totals = level_cdfs(half_power, [])
+        assert cdfs.shape == (0, half_power.shape[0])
+        assert totals.shape == (0,)

@@ -1,4 +1,4 @@
-"""Cross-validation pinning the plan-bearing placement engine to its laws.
+"""Cross-validation pinning the placement engine to its laws.
 
 Three layers of guarantees, strongest first:
 
@@ -6,10 +6,9 @@ Three layers of guarantees, strongest first:
    variants, draws reproduce hardcoded seed trees -- regenerated once
    per deliberate RNG-contract break, last when placement moved onto the
    bank's own sequences ("v3"; see tests/README.md for the regeneration
-   policy) -- whether each phase runs over a cold private plan or a plan
-   warmed by earlier draws, and the two bill identical round ledgers.
-   The plan only memoizes deterministic structure, so its warmth never
-   changes which bits a draw consumes.
+   policy) -- whether each phase builds its numerics cold or reads them
+   from a cache warmed by earlier draws, and the two bill identical
+   round ledgers. Warmth never changes which bits a draw consumes.
 2. **DP equivalence** (the resampling oracle's DP): a prepared
    contingency DP sampled repeatedly agrees draw-for-draw with the
    one-shot ``sample_contingency_table`` under matched RNG states, for
@@ -17,12 +16,14 @@ Three layers of guarantees, strongest first:
 3. **Law equivalence**: sampled contingency tables over an enumerable
    instance match the exact table distribution implied by the
    ``permanent_class_dp`` factorization (chi-square), directly and
-   through the plan's ``prepared_dp`` entry.
+   through the ``PlacementPlan.prepared_dp`` tracer hook.
+
+Old cache volumes: ``plan.npz`` blobs earlier versions spilled are never
+read, and cache maintenance removes them (``TestPlanPersistence``).
 """
 
 from __future__ import annotations
 
-import io
 import math
 from itertools import product
 
@@ -32,7 +33,7 @@ from scipy import stats as scipy_stats
 
 from repro import graphs
 from repro.core.config import SamplerConfig
-from repro.core.placement_plan import PLAN_MEMBERS, PlacementPlan
+from repro.core.placement_plan import PlacementPlan
 from repro.engine.runner import SamplerEngine
 from repro.graphs.families import build_family
 from repro.matching.permanent import _compositions
@@ -76,9 +77,9 @@ GOLDEN_SEED_TREES_V3 = {
 def _draw(family: str, variant: str, *, warm: bool = False):
     """One seed-11 draw on the n=12 family instance.
 
-    ``warm=False`` disables the derived-graph cache, so every phase runs
-    over a fresh private plan; ``warm=True`` first spends one draw on
-    another seed so phase 1's shared plan is already populated.
+    ``warm=False`` disables the derived-graph cache, so every phase
+    builds its numerics cold; ``warm=True`` first spends one draw on
+    another seed so phase 1's entry is already cached.
     """
     graph, __ = build_family(family, 12, np.random.default_rng(2026))
     config = SamplerConfig(ell=1 << 10, derived_cache=warm)
@@ -89,7 +90,7 @@ def _draw(family: str, variant: str, *, warm: bool = False):
 
 
 class TestByteIdentity:
-    """Cold plan == warm plan == seed, tree by tree and round by round."""
+    """Cold == warm == seed, tree by tree and round by round."""
 
     # The "v2" in these two test names is kept so test ids stay stable;
     # the goldens are the v3 ones.
@@ -104,8 +105,8 @@ class TestByteIdentity:
         "family,variant", sorted(GOLDEN_SEED_TREES_V3), ids=lambda v: str(v)
     )
     def test_warm_plan_reproduces_v2_seed_trees(self, family, variant):
-        """A plan warmed by an earlier draw reproduces the cold-plan
-        draw: same seed tree, same round bill by category."""
+        """A cache warmed by an earlier draw reproduces the cold draw:
+        same seed tree, same round bill by category."""
         warm = _draw(family, variant, warm=True)
         cold = _draw(family, variant)
         assert warm.tree == cold.tree
@@ -122,7 +123,7 @@ class TestByteIdentity:
         "variant", ["approximate", "broadcast"], ids=lambda v: f"{v}-v2"
     )
     def test_draws_independent_of_plan_warmth(self, variant):
-        """A warm plan must never change which bits a draw consumes:
+        """A warm cache must never change which bits a draw consumes:
         the k-th draw from a long-lived engine equals the k-th draw from
         a fresh engine fed the identical generator state, tree and round
         bill alike."""
@@ -273,187 +274,76 @@ class TestContingencyTableLaw:
         assert p_value > 1e-4, (implementation, use_plan, p_value)
 
 
+def _format4_arrays(n: int) -> dict[str, np.ndarray]:
+    """The seven columnar members a format-4 ``plan.npz`` held."""
+    int64 = np.int64
+    return {
+        "plan_format": np.asarray([4], dtype=int64),
+        "law_keys": np.asarray([[1, 0, 1]], dtype=int64),
+        "law_values": np.full((1, n), 1.0 / n),
+        "fv_keys": np.asarray([[0, 1]], dtype=int64),
+        "fv_lengths": np.asarray([2], dtype=int64),
+        "fv_neighbors": np.asarray([0, 2], dtype=int64),
+        "fv_probabilities": np.asarray([0.5, 0.5]),
+    }
+
+
+def _plant_plan_blobs(root, arrays) -> list:
+    """Write ``arrays`` as ``plan.npz`` into every published entry, the
+    way older versions spilled plans next to the numerics."""
+    blobs = []
+    for meta in sorted(root.glob("blobs/*/meta.json")):
+        blob = meta.parent / "plan.npz"
+        with open(blob, "wb") as handle:
+            np.savez(handle, **arrays)
+        blobs.append(blob)
+    assert blobs, "the run published no entries"
+    return blobs
+
+
 class TestPlanPersistence:
-    """Plans survive the npz round trip and disk-tier restarts unchanged."""
-
-    def test_export_import_round_trip(self):
-        plan = PlacementPlan()
-        rng = np.random.default_rng(3)
-        half = rng.uniform(0.01, 1.0, size=(6, 6))
-        law1, total1 = plan.law(4, 1, 2, half)
-        law2, total2 = plan.law(2, 0, 5, half)
-        plan.first_visit(
-            3, 4, lambda: (np.array([0, 1, 2]), np.array([0.2, 0.3, 0.5]))
-        )
-        restored = PlacementPlan.from_arrays(
-            {k: np.asarray(v) for k, v in plan.export_arrays().items()}
-        )
-        r1, t1 = restored.law(4, 1, 2, half)
-        assert np.array_equal(r1, law1) and t1 == total1
-        r2, t2 = restored.law(2, 0, 5, half)
-        assert np.array_equal(r2, law2) and t2 == total2
-        neighbors, probabilities = restored.first_visit(
-            3, 4, lambda: pytest.fail("should be served from the memo")
-        )
-        assert np.array_equal(neighbors, [0, 1, 2])
-        assert restored.law_hits == 2 and restored.first_visit_hits == 1
-
-    def test_bad_plan_arrays_raise(self):
-        with pytest.raises((ValueError, KeyError)):
-            PlacementPlan.from_arrays({"bogus": np.zeros(3)})
-        with pytest.raises(ValueError):
-            PlacementPlan.from_arrays(
-                {"plan_format": np.asarray([999], dtype=np.int64)}
-            )
-        with pytest.raises(ValueError):  # a v2 per-entry blob
-            PlacementPlan.from_arrays(
-                {
-                    "plan_format": np.asarray([2], dtype=np.int64),
-                    "fvn/1/2": np.asarray([0, 1]),
-                    "fvp/1/2": np.asarray([0.5, 0.5]),
-                }
-            )
-        plan = PlacementPlan()
-        assert plan.export_arrays() is None  # nothing worth spilling
-        plan.law(1, 0, 1, np.full((2, 2), 0.5))
-        plan.first_visit(
-            1, 2, lambda: (np.array([0, 1]), np.array([0.5, 0.5]))
-        )
-        good = plan.export_arrays()
-        assert set(good) == set(PLAN_MEMBERS) and len(PLAN_MEMBERS) == 7
-        assert list(PlacementPlan.from_arrays(good)._laws) == [(1, 0, 1)]
-        int64 = np.int64
-        missing = dict(good)
-        del missing["fv_probabilities"]
-        bad_cases = [
-            missing,
-            dict(good, law_cdfs=np.zeros(3)),
-            dict(good, fv_lengths=np.asarray([3], dtype=int64)),
-            dict(good, fv_lengths=np.asarray([0], dtype=int64)),
-            dict(good, fv_neighbors=np.asarray([0.0, 1.0])),
-            dict(good, fv_keys=np.asarray([1, 2], dtype=int64)),
-            dict(good, law_keys=np.asarray([[1, 0, 1]] * 2, dtype=int64),
-                 law_values=np.ones((2, 2))),
-            dict(good, dp_digests=np.asarray([], dtype=np.str_)),
-            dict(good, plan_format=np.asarray([3], dtype=int64)),
-        ]
-        for bad in bad_cases:
-            with pytest.raises(ValueError):
-                PlacementPlan.from_arrays(bad)
+    """Disk restarts draw identical trees, and the ``plan.npz`` blobs
+    older versions left in cache volumes are never read: the numerics
+    still hit, and maintenance removes the blobs with their entries."""
 
     @staticmethod
-    def _npz_round_trip(plan: PlacementPlan) -> PlacementPlan:
-        buffer = io.BytesIO()
-        np.savez(buffer, **plan.export_arrays())
-        buffer.seek(0)
-        with np.load(buffer) as arrays:
-            return PlacementPlan.from_arrays(arrays)
+    def _session_setup(tmp_path, n=24):
+        from repro.api import EnsembleRequest, preset_config
 
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_npz_round_trip_is_bit_identical(self, backend):
-        """Laws and totals and first-visit pairs survive the columnar
-        blob bit for bit, on either numerics backend."""
-        from repro.api import EnsembleRequest, Session, preset_config
-
-        config = preset_config(
-            "fast-bench", ell=1 << 8, linalg_backend=backend
-        )
-        session = Session(graphs.complete_graph(24), config, seed=0)
-        session.run(EnsembleRequest(count=2, seed=5, jobs=1))
-        plans = [
-            entry.plan
-            for entry in session._cache._entries.values()
-            if entry.plan is not None
-        ]
-        assert plans
-        for plan in plans:
-            restored = self._npz_round_trip(plan)
-            assert list(restored._laws) == list(plan._laws)
-            for key, (law, total) in plan._laws.items():
-                restored_law, restored_total = restored._laws[key]
-                assert restored_law.dtype == law.dtype
-                assert restored_law.tobytes() == law.tobytes()
-                assert restored_total == total
-            assert list(restored._first_visit) == list(plan._first_visit)
-            for key, (neighbors, probabilities) in plan._first_visit.items():
-                got_neighbors, got_probabilities = restored._first_visit[key]
-                assert got_neighbors.dtype == neighbors.dtype
-                assert np.array_equal(got_neighbors, neighbors)
-                assert got_probabilities.tobytes() == probabilities.tobytes()
-
-    def test_blob_member_names_do_not_grow_with_the_plan(self, tmp_path):
-        """The blob's zip directory is the same fixed set after one draw
-        and after ten, however many memo entries the plan gained."""
-        from repro.api import EnsembleRequest, Session, preset_config
-        from repro.engine.store import PLAN_BLOB
-
-        def member_sets():
-            sets = {}
-            for blob in tmp_path.glob(f"blobs/*/{PLAN_BLOB}"):
-                with np.load(blob) as arrays:
-                    sets[blob] = (
-                        frozenset(arrays.keys()),
-                        arrays["law_keys"].shape[0],
-                    )
-            return sets
-
-        graph = graphs.complete_graph(16)
+        graph = graphs.complete_graph(n)
         config = preset_config(
             "fast-bench", ell=1 << 8, cache_dir=str(tmp_path)
         )
-        session = Session(graph, config, seed=0)
-        session.run(EnsembleRequest(count=1, seed=1, jobs=1))
-        after_one = member_sets()
-        session.run(EnsembleRequest(count=9, seed=2, jobs=1))
-        after_ten = member_sets()
-        assert after_one and len(after_ten) > len(after_one)
-        assert {names for names, __ in after_one.values()} == {
-            frozenset(PLAN_MEMBERS)
-        }
-        assert {names for names, __ in after_ten.values()} == {
-            frozenset(PLAN_MEMBERS)
-        }
-        # The phase-1 blob is shared by every draw and kept growing.
-        assert any(
-            after_ten[blob][1] > laws
-            for blob, (__, laws) in after_one.items()
-        )
+        return graph, config, EnsembleRequest(count=2, seed=5, jobs=1)
+
+    @staticmethod
+    def _outcomes(response):
+        return [
+            (r.tree, r.rounds, r.ledger.rounds_by_category())
+            for r in response.result.results
+        ]
 
     @pytest.mark.parametrize(
         "damage", ["legacy-v2", "fv-length", "legacy-v3"]
     )
     def test_unreadable_plan_blob_loads_cold(self, tmp_path, damage):
-        """An old-format blob (per-entry format 2, or format 3 with its
-        contingency-DP columns), or a packed one whose lengths no longer
-        tile its data, is a cold plan: the file goes, the numerics still
-        hit, and the next run republishes a readable blob."""
-        from repro.api import EnsembleRequest, Session, preset_config
-        from repro.engine.store import PLAN_BLOB, DiskTier, key_digest
+        """An old-format blob (per-entry format 2, format 3 with its
+        contingency-DP columns, or a packed one whose lengths no longer
+        tile its data) is left alone: the numerics still hit, the file
+        stays as it was, and the draws match the run that wrote them."""
+        from repro.api import Session
+        from repro.engine.store import DiskTier, key_digest
 
-        graph = graphs.complete_graph(24)
-        config = preset_config(
-            "fast-bench", ell=1 << 8, cache_dir=str(tmp_path)
-        )
+        graph, config, request = self._session_setup(tmp_path)
         session = Session(graph, config, seed=0)
-        request = EnsembleRequest(count=2, seed=5, jobs=1)
         baseline = session.run(request)
-        # Damage the blob of an entry that carries first-visit tables.
-        for key in session._cache.memory._entries:
-            blob = tmp_path / "blobs" / key_digest(key) / PLAN_BLOB
-            if not blob.exists():
-                continue
-            with np.load(blob) as loaded:
-                arrays = {name: loaded[name] for name in loaded.keys()}
-            if arrays["fv_keys"].shape[0]:
-                break
-        else:
-            pytest.fail("no plan blob carries first-visit tables")
+        arrays = _format4_arrays(graph.n)
         if damage == "legacy-v2":
             arrays = {
                 "plan_format": np.asarray([2], dtype=np.int64),
                 "law/1/0/1": arrays["law_values"][0],
-                "fvn/0/1": arrays["fv_neighbors"][:2],
-                "fvp/0/1": arrays["fv_probabilities"][:2],
+                "fvn/0/1": arrays["fv_neighbors"],
+                "fvp/0/1": arrays["fv_probabilities"],
             }
         elif damage == "fv-length":
             arrays["fv_lengths"][0] += 1
@@ -466,149 +356,127 @@ class TestPlanPersistence:
             arrays["dp_digests"] = np.empty(0, dtype=np.str_)
             arrays["dp_keys"] = np.empty((0, 2), dtype=np.int64)
             arrays["dp_cdfs"] = np.empty(0, dtype=np.float64)
-        with open(blob, "wb") as handle:
-            np.savez(handle, **arrays)
+        blobs = _plant_plan_blobs(tmp_path, arrays)
+        before = {blob: blob.read_bytes() for blob in blobs}
 
         disk = DiskTier(tmp_path)
+        key = next(iter(session._cache.memory._entries))
         numerics = disk.lookup(key)
-        assert numerics is not None and numerics.plan is None
+        assert numerics is not None and not hasattr(numerics, "plan")
         assert disk.hits == 1 and disk.misses == 0
-        assert not blob.exists()
+        assert (tmp_path / "blobs" / key_digest(key) / "plan.npz").exists()
 
         recovered = Session(graph, config, seed=0).run(request)
-        assert recovered.result.trees == baseline.result.trees
-        with np.load(blob) as arrays:
-            assert PlacementPlan.from_arrays(arrays)._laws
+        assert self._outcomes(recovered) == self._outcomes(baseline)
+        assert {blob: blob.read_bytes() for blob in blobs} == before
 
-    def test_failed_plan_spill_is_retried_next_run(
+    def test_format4_plan_blob_is_a_numerics_hit_never_opened(
         self, tmp_path, monkeypatch
     ):
-        """A spill that never published keeps the plan dirty, so the
-        next run writes the growth instead of losing it."""
-        import os
-        from pathlib import Path
+        """Entries still holding a format-4 ``plan.npz`` serve their
+        numerics from disk; trees and bills by category equal a cold,
+        cacheless run, and no code path opens the blob."""
+        import builtins
+        import io as io_module
 
-        from repro.api import EnsembleRequest, Session, preset_config
-        from repro.engine.store import PLAN_BLOB
+        from repro.api import Session, preset_config
 
-        real_replace = os.replace
+        graph, config, request = self._session_setup(tmp_path)
+        Session(graph, config, seed=0).run(request)
+        blobs = _plant_plan_blobs(tmp_path, _format4_arrays(graph.n))
+        before = {blob: blob.read_bytes() for blob in blobs}
 
-        def failing_replace(src, dst, *args, **kwargs):
-            if Path(dst).name == PLAN_BLOB:
-                raise OSError("injected plan publish failure")
-            return real_replace(src, dst, *args, **kwargs)
+        opened: list[str] = []
+        real_open = builtins.open
 
-        graph = graphs.complete_graph(24)
-        config = preset_config(
-            "fast-bench", ell=1 << 8, cache_dir=str(tmp_path)
-        )
-        session = Session(graph, config, seed=0)
-        request = EnsembleRequest(count=2, seed=5, jobs=1)
-        monkeypatch.setattr(os, "replace", failing_replace)
-        first = session.run(request)
+        def spying_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", spying_open)
+        monkeypatch.setattr(io_module, "open", spying_open)
+        warm_session = Session(graph, config, seed=0)
+        warm = warm_session.run(request)
         monkeypatch.undo()
-        assert not list(tmp_path.glob(f"blobs/*/{PLAN_BLOB}"))
-        assert not list(tmp_path.glob("blobs/.tmp-plan-*"))
-        plans = [
-            entry.plan
-            for entry in session._cache.memory._entries.values()
-            if entry.plan is not None
-        ]
-        assert plans and all(plan.dirty for plan in plans)
 
-        # A same-seed replay adds nothing new, yet still spills.
-        second = session.run(request)
-        assert second.result.trees == first.result.trees
-        blobs = list(tmp_path.glob(f"blobs/*/{PLAN_BLOB}"))
-        assert len(blobs) == len(plans)
-        assert not any(plan.dirty for plan in plans)
+        cold = Session(
+            graph,
+            preset_config("fast-bench", ell=1 << 8, derived_cache=False),
+            seed=0,
+        ).run(request)
+        assert self._outcomes(warm) == self._outcomes(cold)
+        stats = warm_session._cache.stats()
+        assert stats["disk_hits"] > 0 and stats["misses"] == 0
+        assert opened, "the spy saw no file reads at all"
+        assert not [path for path in opened if path.endswith("plan.npz")]
+        assert {blob: blob.read_bytes() for blob in blobs} == before
+
+    @pytest.mark.parametrize(
+        "verb", [["--prune-to", "0"], ["--clear"]], ids=["prune-to-0", "clear"]
+    )
+    def test_cache_maintenance_removes_old_plan_blobs(
+        self, tmp_path, capsys, verb
+    ):
+        from repro.api import Session
+        from repro.cli import main
+
+        graph, config, request = self._session_setup(tmp_path, n=12)
+        Session(graph, config, seed=0).run(request)
+        _plant_plan_blobs(tmp_path, _format4_arrays(graph.n))
+        assert main(["cache", "--cache-dir", str(tmp_path), *verb]) == 0
+        assert not list(tmp_path.rglob("plan.npz"))
+        assert not list(tmp_path.glob("blobs/*/meta.json"))
+
+    def test_stale_plan_spill_leftover_is_swept(self, tmp_path):
+        """A ``.tmp-plan-*.npz`` an older writer left when it died is
+        removed on open once stale; a fresh one may still be live."""
+        import os
+
+        from repro.engine.store import STALE_TMP_SECONDS, DiskTier
+
+        blobs = tmp_path / "blobs"
+        blobs.mkdir()
+        stale = blobs / ".tmp-plan-deadbeef-1-1.npz"
+        fresh = blobs / ".tmp-plan-deadbeef-2-2.npz"
+        for leftover in (stale, fresh):
+            leftover.write_bytes(b"partial")
+        old = stale.stat().st_mtime - 2 * STALE_TMP_SECONDS
+        os.utime(stale, (old, old))
+        tier = DiskTier(tmp_path)
+        assert not stale.exists()
+        assert fresh.exists()
+        assert tier.entry_count() == 0
 
     def test_warm_disk_restart_reuses_classification(self, tmp_path):
-        """A restarted session loads plans and draws identical trees."""
-        from repro.api import EnsembleRequest, Session, preset_config
-        from repro.engine.store import PLAN_BLOB
+        """A restarted session serves every phase from disk and draws
+        identical trees and bills."""
+        from repro.api import Session
 
-        graph = graphs.complete_graph(24)
-        config = preset_config(
-            "fast-bench", ell=1 << 8, cache_dir=str(tmp_path)
-        )
-        cold = Session(graph, config, seed=0)
-        first = cold.run(EnsembleRequest(count=2, seed=5, jobs=1))
-        plan_blobs = list(tmp_path.glob(f"blobs/*/{PLAN_BLOB}"))
-        assert plan_blobs, "batched runs must spill plans"
+        graph, config, request = self._session_setup(tmp_path)
+        first = Session(graph, config, seed=0).run(request)
+        assert not list(tmp_path.rglob("plan.npz"))
 
         warm = Session(graph, config, seed=0)
-        second = warm.run(EnsembleRequest(count=2, seed=5, jobs=1))
-        assert first.result.trees == second.result.trees
-        assert [r.rounds for r in first.result.results] == [
-            r.rounds for r in second.result.results
-        ]
-
-        # The restarted engine's phase-1 plan must have come from disk
-        # with its laws intact (law hits on the very first warm draw).
-        engine = warm.engine("approximate")
-        entry = warm._cache.lookup(
-            (engine._cache_token, tuple(range(graph.n)))
-        )
-        assert entry is not None and entry.plan is not None
-        assert entry.plan.law_hits > 0
-
-    def test_plan_memos_evict_lru_when_full(self):
-        """A full memo displaces its LRU entry instead of refusing."""
-        plan = PlacementPlan(max_laws=2)
-        half = np.full((4, 4), 0.25)
-        plan.law(1, 0, 1, half)
-        plan.law(1, 0, 2, half)
-        plan.law(1, 0, 1, half)  # refresh (0, 1): (0, 2) becomes LRU
-        plan.law(1, 0, 3, half)  # evicts (0, 2)
-        assert plan.evicted == 1
-        assert (1, 0, 3) in plan._laws and (1, 0, 1) in plan._laws
-        assert (1, 0, 2) not in plan._laws
-        plan.law(1, 0, 3, half)
-        assert plan.law_hits == 2  # the newest entry was admitted
-
-    def test_cache_refresh_tracks_plan_growth(self):
-        """The RAM tier's byte ledger follows plan growth via refresh."""
-        from repro.engine.cache import DerivedGraphCache
-
-        cache = DerivedGraphCache(max_entries=4)
-        engine = SamplerEngine(
-            graphs.complete_graph(8),
-            SamplerConfig(ell=1 << 8),
-            cache=cache,
-        )
-        engine.run(np.random.default_rng(0))
-        for key, numerics in cache._entries.items():
-            assert numerics.plan is not None
-            assert cache._sizes[key] == numerics.nbytes(), (
-                "refresh must re-measure plan-bearing entries"
-            )
-            assert numerics.plan.nbytes() > 0
+        second = warm.run(request)
+        assert self._outcomes(first) == self._outcomes(second)
+        stats = warm._cache.stats()
+        assert stats["disk_hits"] > 0 and stats["misses"] == 0
 
     def test_corrupt_plan_blob_is_a_cold_plan_not_a_crash(self, tmp_path):
-        from repro.api import EnsembleRequest, Session, preset_config
-        from repro.engine.store import PLAN_BLOB
+        """A garbage ``plan.npz`` beside the numerics is never parsed."""
+        from repro.api import Session
 
-        graph = graphs.complete_graph(16)
-        config = preset_config(
-            "fast-bench", ell=1 << 8, cache_dir=str(tmp_path)
-        )
-        baseline = Session(graph, config, seed=0).run(
-            EnsembleRequest(count=2, seed=5, jobs=1)
-        )
-        for blob in tmp_path.glob(f"blobs/*/{PLAN_BLOB}"):
-            blob.write_bytes(b"not an npz")
-        recovered = Session(graph, config, seed=0).run(
-            EnsembleRequest(count=2, seed=5, jobs=1)
-        )
+        graph, config, request = self._session_setup(tmp_path, n=16)
+        baseline = Session(graph, config, seed=0).run(request)
+        for meta in tmp_path.glob("blobs/*/meta.json"):
+            (meta.parent / "plan.npz").write_bytes(b"not an npz")
+        recovered = Session(graph, config, seed=0).run(request)
         assert recovered.result.trees == baseline.result.trees
-        # The broken blobs were dropped on load (and fresh plans respilled
-        # by the recovery run), never trusted.
-        for blob in tmp_path.glob(f"blobs/*/{PLAN_BLOB}"):
-            assert blob.read_bytes() != b"not an npz"
+        for blob in tmp_path.glob("blobs/*/plan.npz"):
+            assert blob.read_bytes() == b"not an npz"
 
     def test_ensemble_workers_share_plans(self, tmp_path):
-        """jobs=2 over a shared cache_dir equals jobs=1 (plans included)."""
+        """jobs=2 over a shared cache_dir equals jobs=1."""
         from repro.api import EnsembleRequest, Session, preset_config
 
         graph = graphs.complete_graph(16)

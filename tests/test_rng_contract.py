@@ -12,13 +12,14 @@ responses report) is the only one; its load-bearing properties:
    ``choice`` / ``permutation``, and none comes from placement. Counted
    with an instrumented ``Generator`` subclass.
 2. **Determinism** -- draws are byte-identical across ensemble
-   job counts, cache tiers (cold / warm-memory / warm-disk), linalg
-   backends, and plan warmth. The bits consumed depend only on the
-   (seed, config numerics) pair, never on how the plan was populated.
-3. **Cumsum-once** -- plan-served laws are cumsummed exactly once and
-   memoized; no per-draw renormalization runs on the hot path.
-4. **Restart identity** -- a plan restored from plan.npz draws the
-   same trees as a freshly built one.
+   job counts, cache tiers (cold / warm-memory / warm-disk) and linalg
+   backends. The bits consumed depend only on the (seed, config
+   numerics) pair, never on how the cache was populated.
+3. **Restart identity** -- a session restarted over a warm disk tier
+   draws the same trees as a freshly built one.
+
+Laws are cumsummed once per level and never renormalized (the
+batched-law checks live in ``tests/test_midpoints.py``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import pytest
 
 from repro import graphs
 from repro.core.config import SamplerConfig
-from repro.core.placement_plan import PlacementPlan
 from repro.engine.runner import SamplerEngine
 from repro.errors import ConfigError
 
@@ -96,7 +96,7 @@ class TestStreamAccounting:
         graph = graphs.complete_graph(16)
         config = SamplerConfig(ell=1 << 8)
         engine = SamplerEngine(graph, config, variant=variant)
-        engine.run(np.random.default_rng(0))  # warm the plan first
+        engine.run(np.random.default_rng(0))  # warm the cache first
         rng = CountingGenerator(1)
         result = engine.run(rng)
         return rng, result.phases
@@ -140,7 +140,7 @@ class TestStreamAccounting:
         assert placements and set(placements) == {0}
 
     def test_v2_counts_stable_across_warm_draws(self):
-        """Plan warmth changes invocation counts by nothing at all."""
+        """Cache warmth changes invocation counts by nothing at all."""
         graph = graphs.complete_graph(16)
         engine = SamplerEngine(graph, SamplerConfig(ell=1 << 8))
         counts = []
@@ -211,34 +211,10 @@ class TestV2Determinism:
         assert trees["dense"] == trees["sparse"]
 
 
-class TestNormalizeOnce:
-    """Plan laws are cumsummed exactly once, ever."""
-
-    @staticmethod
-    def _half(n=6, seed=3):
-        return np.random.default_rng(seed).uniform(0.01, 1.0, size=(n, n))
-
-    def test_cdf_memoized_and_unnormalized(self):
-        plan = PlacementPlan()
-        half = self._half()
-        first, total = plan.cdf(3, 0, 1, half)
-        second, __ = plan.cdf(3, 0, 1, half)
-        assert second is first  # the cumsum ran exactly once
-        law, law_total = plan.law(3, 0, 1, half)
-        np.testing.assert_array_equal(first, np.cumsum(law))
-        assert total == law_total  # the Section 5.2 floor sees the law's sum
-
-    def test_derived_memos_evict_with_their_law(self):
-        plan = PlacementPlan(max_laws=1)
-        half = self._half()
-        plan.cdf(1, 0, 1, half)
-        plan.law(1, 0, 2, half)  # evicts (1, 0, 1)
-        assert (1, 0, 1) not in plan._cdfs
-
-
 class TestDpSeedPersistence:
-    """Plans ride plan.npz across process restarts. (The name is from
-    the retired contingency-DP seed columns; kept for stable test ids.)"""
+    """Disk-tier restarts draw what a fresh session draws. (The name is
+    from the retired contingency-DP seed columns; kept for stable test
+    ids.)"""
 
     def _sessions(self, tmp_path):
         from repro.api import EnsembleRequest, Session, preset_config
@@ -251,9 +227,9 @@ class TestDpSeedPersistence:
         return graph, config, request, Session
 
     def test_seeded_draws_match_built_draws(self, tmp_path):
-        """A session seeded from the spilled plans draws byte-identical
-        trees and bills to a freshly built one -- restart warmth never
-        changes outputs."""
+        """A session restarted over the spilled numerics draws
+        byte-identical trees and bills to a freshly built one --
+        restart warmth never changes outputs."""
         graph, config, request, Session = self._sessions(tmp_path)
         cold = Session(graph, config, seed=0).run(request)
         warm = Session(graph, config, seed=0).run(request)

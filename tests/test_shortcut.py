@@ -147,3 +147,52 @@ class TestFirstVisitEdgeDistribution:
                 hits += 1
         empirical = np.array([counts[u] / hits for u in neighbors])
         assert np.allclose(empirical, law, atol=0.05)
+
+
+class TestFirstVisitHoisting:
+    """The phase-hoisted S mask and into-S weights change no bit."""
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_hoisted_call_is_bit_equal_to_unhoisted(self, sparse):
+        rng = np.random.default_rng(11)
+        n = 30
+        base = graphs.erdos_renyi_graph(n, 0.3, rng)
+        weights = base.weights * rng.uniform(0.5, 3.0, size=(n, n))
+        graph = graphs.WeightedGraph(np.triu(weights, 1) + np.triu(weights, 1).T)
+        subset = sorted(int(v) for v in rng.choice(n, size=17, replace=False))
+        q = shortcut_transition_matrix(graph, subset)
+        if sparse:
+            import scipy.sparse as sp
+
+            q = sp.csr_matrix(q)
+        s_mask = np.zeros(n, dtype=bool)
+        s_mask[subset] = True
+        weight_into_s = graph.weights[:, s_mask].sum(axis=1)
+        compared = 0
+        for prev in subset:
+            for v in subset:
+                hoist = {"weight_into_s": weight_into_s, "s_mask": s_mask}
+                try:
+                    plain = first_visit_edge_distribution(
+                        graph, subset, q, prev, v
+                    )
+                except GraphError:
+                    with pytest.raises(GraphError):
+                        first_visit_edge_distribution(
+                            graph, subset, q, prev, v, **hoist
+                        )
+                    continue
+                hoisted = first_visit_edge_distribution(
+                    graph, subset, q, prev, v, **hoist
+                )
+                assert list(hoisted[0]) == list(plain[0])
+                assert hoisted[1].tobytes() == plain[1].tobytes()
+                compared += 1
+        assert compared > len(subset)
+
+    def test_hoisted_mask_still_rejects_vertices_outside_s(self):
+        g = graphs.path_graph(4)
+        q = shortcut_transition_matrix(g, [0, 3])
+        s_mask = np.asarray([True, False, False, True])
+        with pytest.raises(GraphError):
+            first_visit_edge_distribution(g, [0, 3], q, 0, 2, s_mask=s_mask)
