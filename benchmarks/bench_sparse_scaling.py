@@ -17,7 +17,10 @@ vertices, mirroring what a real phase 2 eliminates.
 
 Acceptance gate (full mode): at n >= 512 at least one sparse family
 shows >= 3x wall-clock improvement or >= 4x peak-memory reduction.
-Results land in ``BENCH_sparse_scaling.json`` next to this file.
+Results land in ``BENCH_sparse_scaling.json`` next to this file. Every
+build is computed from scratch with no derived-graph cache in the loop,
+so the JSON carries ``"scenario": "cold"``, plus the ``"host"`` it was
+measured on (timings only compare within one host).
 
 Runs standalone (the CI smoke job) or under pytest-benchmark like the
 other benches::
@@ -30,6 +33,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import time
 import tracemalloc
 from collections import deque
@@ -96,6 +101,20 @@ def _measure(graph: WeightedGraph, subset: list[int], backend) -> dict:
     return {"seconds": seconds, "peak_bytes": int(peak)}
 
 
+def _host() -> dict:
+    """What the timings were measured on."""
+    import scipy
+
+    return {
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
+
+
 def run_benchmark(ns: list[int], families: list[str] | None = None) -> dict:
     """The full measurement grid; returns the JSON payload."""
     families = families or FAMILIES
@@ -134,6 +153,8 @@ def run_benchmark(ns: list[int], families: list[str] | None = None) -> dict:
         crossover[family] = min(hits) if hits else None
     return {
         "bench": "sparse_scaling",
+        "scenario": "cold",
+        "host": _host(),
         "ladder_ell": LADDER_ELL,
         "timing_repeats": TIMING_REPEATS,
         "ns": ns,

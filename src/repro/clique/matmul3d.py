@@ -22,10 +22,11 @@ account at word level and convert to rounds by Lenzen's theorem:
    contributions per entry.
 
 Each step moves Theta(n^{4/3}) words per machine, i.e. Theta(n^{1/3})
-rounds -- matching [17]'s combinatorial bound exactly. The numerics are
-performed for real (block numpy products), so :class:`PowerLadder` and
-the samplers can run with *measured* rather than analytic matmul rounds
-(``SimulatedMatmul`` plugs into the ledger). The README's "Sampler
+rounds -- matching [17]'s combinatorial bound exactly. The word loads
+depend only on ``n``, so the samplers bill *measured* rather than
+analytic matmul rounds through :meth:`SimulatedMatmul.charge`;
+:meth:`SimulatedMatmul.multiply` also performs the numerics for real
+(block numpy products) and bills the same rounds. The README's "Sampler
 variants" section records the substitution: measured rounds scale as n^{1/3} instead of the paper's
 n^{0.157}, because fast rectangular multiplication inside the clique is
 out of scope; the samplers' *headline* exponent with this backend becomes
@@ -100,8 +101,9 @@ class SimulatedMatmul:
         The protocol's per-machine word loads depend only on ``n`` and the
         block decomposition -- never on matrix values -- so the cost is a
         deterministic per-instance constant. It is computed once and
-        cached; :meth:`charge_replay` relies on this determinism to charge
-        cache-replayed multiplications the exact measured amount.
+        cached; :meth:`charge` relies on this determinism to bill
+        products whose numerics came from a cache the exact measured
+        amount.
         """
         if self._round_cost is not None:
             return self._round_cost
@@ -159,10 +161,8 @@ class SimulatedMatmul:
         """``a @ b`` with full word-level round accounting.
 
         Both inputs must be ``n x n`` (the row-partitioned clique layout).
-        Returns the exact product; charges the measured rounds.
-        ``entry_words`` is accepted for
-        :class:`~repro.engine.backends.MatmulBackend` interface
-        compatibility but ignored: the measured protocol ships raw words.
+        Returns the exact product; charges the measured rounds through
+        :meth:`charge`.
         """
         if a.shape != (self.n, self.n) or b.shape != (self.n, self.n):
             raise ModelError(
@@ -170,38 +170,29 @@ class SimulatedMatmul:
                 f"{b.shape}"
             )
         result = a @ b  # numerics: the block sums collapse to the product
-        rounds = self.round_cost()
         self.calls += 1
-        self.total_rounds += rounds
-        if self.ledger is not None:
-            self.ledger.charge(
-                "matmul-simulated",
-                rounds,
-                note=note or f"3D semiring n={self.n}",
-            )
+        self.charge(self.n, entry_words=entry_words, note=note)
         return result
 
-    def charge_replay(
+    def charge(
         self,
-        size: int | None = None,
+        size: int,
         *,
         count: int = 1,
         entry_words: int | None = None,
         note: str = "",
     ) -> None:
-        """Charge ``count`` multiplications whose numerics were cache-replayed.
+        """Charge the measured rounds of ``count`` multiplications.
 
-        The round model charges per run, so replaying memoized products
-        (e.g. a :class:`~repro.engine.cache.DerivedGraphCache` hit) must
-        still bill the full measured cost; :meth:`round_cost` is
-        value-independent, so the replayed charge equals what the real
-        multiplications would have measured. ``entry_words`` is ignored as
-        in :meth:`multiply`.
+        :meth:`round_cost` is value-independent, so charging a product
+        whose numerics were computed elsewhere (or taken from a cache)
+        bills exactly what :meth:`multiply` would have measured.
+        ``entry_words`` is accepted for
+        :class:`~repro.engine.backends.MatmulBackend` interface
+        compatibility but ignored: the measured protocol ships raw words.
         """
-        if size is not None and size != self.n:
-            raise ModelError(
-                f"replay size {size} != backend size {self.n}"
-            )
+        if size != self.n:
+            raise ModelError(f"product size {size} != backend size {self.n}")
         if count < 1:
             return
         rounds = count * self.round_cost()
@@ -210,7 +201,7 @@ class SimulatedMatmul:
             self.ledger.charge(
                 "matmul-simulated",
                 rounds,
-                note=note or f"3D semiring n={self.n} (cached numerics)",
+                note=note or f"3D semiring n={self.n}",
             )
 
     def measured_rounds_last_call_bound(self) -> int:

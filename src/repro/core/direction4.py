@@ -136,11 +136,16 @@ class Direction4Sampler:
                     seen.add(v)
                     steps.append((walk_orig[position - 1], v))
                 # One uniform vector covers every first-visit edge the
-                # phase harvests.
+                # phase harvests. S's mask and into-S weights are
+                # functions of (G, S) alone: computed once per phase.
+                s_mask = np.zeros(n, dtype=bool)
+                s_mask[subset] = True
+                weight_into_s = graph.weights[:, s_mask].sum(axis=1)
                 uniforms = rng.random(len(steps)) if steps else ()
                 for (prev, v), uniform in zip(steps, uniforms):
                     neighbors, law = first_visit_edge_distribution(
-                        graph, subset, q, prev, v
+                        graph, subset, q, prev, v,
+                        weight_into_s=weight_into_s, s_mask=s_mask,
                     )
                     cdf = np.cumsum(law)
                     index = int(cdf.searchsorted(uniform * cdf[-1], "right"))

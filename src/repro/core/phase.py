@@ -196,7 +196,9 @@ def run_phase_walk(
     backend produced -- dense ndarray or scipy CSR; the walk machinery
     only touches it through the format-agnostic accessors. Returns the
     walk as a list of phase-local vertex indices, guaranteed to end at
-    the first occurrence of its rho_eff-th distinct vertex.
+    the first occurrence of its rho_eff-th distinct vertex. Without a
+    ``ladder`` one is built here; its squarings are billed by the caller
+    (the engine charges every phase's ladder itself), never here.
 
     Every decision is drawn as a uniform block resolved against CDFs
     computed for this walk: one gather of midpoint laws per level and
@@ -209,11 +211,7 @@ def run_phase_walk(
     n = transition.shape[0]
     if ladder is None:
         ell = min(config.resolve_ell(n), 1 << 62)
-        ladder = PowerLadder(
-            transition, ell, bits=config.precision_bits,
-            ledger=clique.ledger if clique is not None else None,
-            note="phase power ladder",
-        )
+        ladder = PowerLadder(transition, ell, bits=config.precision_bits)
 
     walk = _segment_fill(
         ladder, start, rho_eff, config, rng, clique, stats,

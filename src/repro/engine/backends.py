@@ -1,21 +1,19 @@
-"""Pluggable matrix-multiplication backends (engine layer 1).
+"""Pluggable matrix-multiplication charge backends (engine layer 1).
 
 The sampler's numeric core performs one kind of heavy collective
 operation: ``n x n`` matrix multiplication, which the paper charges either
 analytically (the [17] fast-multiplication black box at O~(n^alpha)
 rounds) or via the executable combinatorial 3D protocol at O(n^{1/3})
 measured rounds. :class:`MatmulBackend` captures what the engine needs
-from either realization:
-
-- :meth:`~MatmulBackend.multiply` -- perform a product and charge its
-  rounds to the run's ledger;
-- :meth:`~MatmulBackend.charge_replay` -- charge the rounds of products
-  whose *numerics* were replayed from a cache
-  (:class:`~repro.engine.cache.DerivedGraphCache`) without redoing the
-  floating-point work. Both backends can do this exactly because their
-  per-product charge is a deterministic function of the matrix size
-  (closed-form for the analytic backend; value-independent word loads for
-  the simulated protocol).
+from either realization: :meth:`~MatmulBackend.charge` bills ``count``
+products of one size to the run's ledger. The engine computes the
+numerics itself (or takes them from the
+:class:`~repro.engine.cache.DerivedGraphCache`) and bills every phase
+through this one method, so a cache hit and a cold build charge
+identical entries. Every backend can do this because its per-product
+charge is a deterministic function of the matrix size (closed-form for
+the analytic backends; value-independent word loads for the simulated
+protocol).
 
 :class:`AnalyticMatmul` is the black-box realization;
 :class:`repro.clique.matmul3d.SimulatedMatmul` satisfies the same
@@ -28,8 +26,6 @@ sampler's phase loop.
 from __future__ import annotations
 
 from typing import Protocol, runtime_checkable
-
-import numpy as np
 
 from repro.clique.cost import RoundLedger
 from repro.clique.matmul3d import SimulatedMatmul
@@ -46,79 +42,43 @@ __all__ = [
 
 @runtime_checkable
 class MatmulBackend(Protocol):
-    """Uniform interface over analytic and executable matmul realizations."""
+    """Uniform charging interface over analytic and executable matmuls."""
 
     name: str
 
-    def multiply(
+    def charge(
         self,
-        a: np.ndarray,
-        b: np.ndarray,
-        *,
-        entry_words: int | None = None,
-        note: str = "",
-    ) -> np.ndarray:
-        """Return ``a @ b`` and charge the product's rounds."""
-        ...
-
-    def charge_replay(
-        self,
-        size: int | None = None,
+        size: int,
         *,
         count: int = 1,
         entry_words: int | None = None,
         note: str = "",
     ) -> None:
-        """Charge ``count`` size-``size`` products without redoing numerics."""
+        """Charge ``count`` size-``size`` products to the ledger."""
         ...
 
 
 class AnalyticMatmul:
-    """The paper's accounting: numpy numerics + O~(n^alpha) analytic charges.
+    """The paper's accounting: O~(n^alpha) analytic charges per product.
 
-    Each :meth:`multiply` performs the product with numpy and charges
-    ``CostModel.matmul_rounds(n, entry_words)`` to the ledger -- exactly
-    the charge the sampler used to issue inline. With no ledger the
-    backend is a pure-numerics multiplier.
+    Each product charges ``CostModel.matmul_rounds(size, entry_words)``
+    to the ledger. With no ledger the backend charges nothing.
     """
 
     name = "analytic"
 
     def __init__(self, ledger: RoundLedger | None = None) -> None:
         self.ledger = ledger
-        self.calls = 0
 
-    def multiply(
+    def charge(
         self,
-        a: np.ndarray,
-        b: np.ndarray,
-        *,
-        entry_words: int | None = None,
-        note: str = "",
-    ) -> np.ndarray:
-        """``a @ b`` plus one analytic matmul charge at size ``a.shape[0]``."""
-        self.calls += 1
-        if self.ledger is not None:
-            self.ledger.charge_matmul(
-                a.shape[0], entry_words=entry_words, note=note
-            )
-        return a @ b
-
-    def charge_replay(
-        self,
-        size: int | None = None,
+        size: int,
         *,
         count: int = 1,
         entry_words: int | None = None,
         note: str = "",
     ) -> None:
-        """Charge ``count`` analytic products of dimension ``size``.
-
-        The analytic formula never depended on the numerics, so replayed
-        charges are identical to the charges of a cold run.
-        """
-        if size is None:
-            raise ConfigError("analytic replay requires an explicit size")
+        """Charge ``count`` analytic products of dimension ``size``."""
         if self.ledger is not None and count >= 1:
             self.ledger.charge_matmul(
                 size, count=count, entry_words=entry_words, note=note
@@ -126,16 +86,15 @@ class AnalyticMatmul:
 
 
 class BroadcastCollectiveMatmul:
-    """Broadcast-CC accounting: numpy numerics + polylog sketch charges.
+    """Broadcast-CC accounting: polylog sketch charges per product.
 
     The Broadcast Congested Clique variant runs the same floating-point
-    products as :class:`AnalyticMatmul` but bills them in the broadcast
+    products as the unicast variants but bills them in the broadcast
     model: each product charges
     :meth:`~repro.clique.cost.CostModel.broadcast_matmul_rounds` to the
     dedicated ``"broadcast-bandwidth"`` category instead of a unicast
-    matmul charge. Satisfies the same :class:`MatmulBackend` protocol, so
-    cache replay (:meth:`charge_replay`) works identically -- the charge
-    is a closed form of the matrix size, never of the numerics.
+    matmul charge -- a closed form of the matrix size, never of the
+    numerics.
     """
 
     name = "broadcast-collective"
@@ -143,36 +102,16 @@ class BroadcastCollectiveMatmul:
 
     def __init__(self, ledger: RoundLedger | None = None) -> None:
         self.ledger = ledger
-        self.calls = 0
 
-    def multiply(
+    def charge(
         self,
-        a: np.ndarray,
-        b: np.ndarray,
-        *,
-        entry_words: int | None = None,
-        note: str = "",
-    ) -> np.ndarray:
-        """``a @ b`` plus one broadcast sketch charge at size ``a.shape[0]``."""
-        self.calls += 1
-        if self.ledger is not None:
-            rounds = self.ledger.model.broadcast_matmul_rounds(
-                a.shape[0], entry_words=entry_words
-            )
-            self.ledger.charge(self.category, rounds, note)
-        return a @ b
-
-    def charge_replay(
-        self,
-        size: int | None = None,
+        size: int,
         *,
         count: int = 1,
         entry_words: int | None = None,
         note: str = "",
     ) -> None:
         """Charge ``count`` broadcast products of dimension ``size``."""
-        if size is None:
-            raise ConfigError("broadcast replay requires an explicit size")
         if self.ledger is not None and count >= 1:
             rounds = (
                 self.ledger.model.broadcast_matmul_rounds(

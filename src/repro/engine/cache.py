@@ -7,12 +7,12 @@ functions of ``(G, S, config)`` -- no randomness touches them -- so
 ensemble workloads that revisit a subset (phase 1's ``S = V`` on *every*
 draw; later subsets whenever walks coincide) can reuse them wholesale.
 
-The round model is unaffected by reuse: rounds are charged *per run*, so
-a cache hit replays the exact charges a cold computation would have
-issued (see :meth:`~repro.engine.runner.SamplerEngine`). Both matmul
-backends support this because their per-product charge is a deterministic
-function of the matrix size. Consequently a run with the cache enabled
-produces byte-identical trees and identical round bills to a run without
+The round model is unaffected by reuse: rounds are charged *per run*,
+and the engine bills every phase's numerics as a closed form of the
+phase's shape, whether they were built or looked up (see
+:class:`~repro.engine.runner.SamplerEngine`). Entries therefore carry
+numerics only. Consequently a run with the cache enabled produces
+byte-identical trees and byte-identical round ledgers to a run without
 it -- property tests pin this.
 
 This generalizes the seed's phase-1-only ladder cache to every phase and
@@ -101,11 +101,11 @@ def config_fingerprint(config, *, resolved_ell: int, linalg_backend: str) -> str
 
 @dataclass
 class PhaseNumerics:
-    """One phase's subset-determined numerics plus its charge recipe.
+    """One phase's subset-determined numerics.
 
     ``shortcut`` / ``transition`` / ``order`` / ``ladder`` are what phase
-    execution consumes; the remaining fields record how a cold build
-    charged the ledger so a cache hit can replay identical rounds.
+    execution consumes. Nothing here records a round charge: the cache
+    key fixes every input of the phase's bill.
     ``shortcut`` and ``transition`` are stored in whichever format the
     engine's linalg backend produced (dense ndarray or scipy CSR) --
     the backend name is part of the cache key, so formats never mix.
@@ -115,11 +115,6 @@ class PhaseNumerics:
     transition: object
     order: list[int]
     ladder: PowerLadder
-    is_phase_one: bool
-    ladder_size: int
-    ladder_squarings: int
-    ladder_entry_words: int | None
-    shortcut_squarings: int  # 0 in phase 1 (no Corollary 2 charge)
 
     def nbytes(self) -> int:
         """Total bytes held by this entry's matrices.

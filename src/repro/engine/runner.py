@@ -11,10 +11,11 @@ is a thin facade over this class; batch workloads drive it through
 
 Charging discipline: every run charges its full analytic (or measured)
 round bill to its own per-run ledger, whether or not the numerics came
-from the cache -- the model counts rounds per execution. Cache hits
-replay the recorded charge recipe (see
-:class:`~repro.engine.cache.PhaseNumerics`), so cached and uncached runs
-produce identical trees *and* identical round totals.
+from the cache -- the model counts rounds per execution. One function,
+:meth:`SamplerEngine._charge_phase_numerics`, bills each phase's
+numerics as a closed form of ``(n, |S|, phase, ell, precision_bits)``
+right after the cache lookup or cold build, so cached and uncached runs
+produce identical trees *and* byte-identical ledgers.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from repro.clique.routing import broadcast_cc_rounds
 from repro.core.config import SamplerConfig
 from repro.core.phase import PhaseStats, run_phase_walk
 from repro.core.variants import get_variant
-from repro.engine.backends import MatmulBackend, make_matmul_backend
+from repro.engine.backends import make_matmul_backend
 from repro.engine.cache import (
     DerivedGraphCache,
     PhaseNumerics,
@@ -223,7 +224,8 @@ class SamplerEngine:
 
         # --- Steps 2-3 of Outline 3: derived graphs + power ladder,
         #     through the cache (numerics) and backend (charges). --------
-        numerics = self._phase_numerics(subset, is_phase_one, ell, ledger)
+        numerics = self._phase_numerics(subset, is_phase_one, ell)
+        self._charge_phase_numerics(ledger, len(subset), is_phase_one, ell)
         shortcut = numerics.shortcut
         transition = numerics.transition
         order = numerics.order
@@ -346,155 +348,83 @@ class SamplerEngine:
     # ------------------------------------------------------------------
 
     def _phase_numerics(
-        self,
-        subset: list[int],
-        is_phase_one: bool,
-        ell: int,
-        ledger: RoundLedger,
+        self, subset: list[int], is_phase_one: bool, ell: int
     ) -> PhaseNumerics:
-        """This phase's numerics: cache-replayed or built cold.
+        """This phase's numerics: a cache hit or a cold build.
 
-        Either way the per-run ledger receives the full charges of a cold
-        build.
+        Charges nothing; :meth:`_charge_phase_numerics` bills the phase
+        the same either way.
         """
-        # The communication model picks the charging backend: broadcast
-        # variants bill every product as polylog sketch rounds in the
-        # broadcast-bandwidth category; unicast variants use whichever
-        # protocol the config names. Numerics are identical either way,
-        # which is what lets all engine variants share cache entries.
-        backend_name = (
-            "broadcast-collective"
-            if self.spec.comm_model == "broadcast"
-            else self.config.matmul_backend
-        )
-        backend = make_matmul_backend(backend_name, len(subset), ledger)
         key = (self._cache_token, tuple(subset))
         cached = self.cache.lookup(key) if self.cache is not None else None
         if cached is not None:
-            self._replay_charges(cached, ledger, backend)
             return cached
-        numerics = self._build_numerics(
-            subset, is_phase_one, ell, ledger, backend
+        graph = self.graph
+        shortcut = self.linalg.shortcut_matrix(graph, subset)
+        if is_phase_one:
+            transition = self.linalg.transition_matrix(graph)
+            order = list(range(graph.n))
+        else:
+            transition, order = self.linalg.schur_transition(graph, subset)
+        numerics = PhaseNumerics(
+            shortcut=shortcut,
+            transition=transition,
+            order=order,
+            ladder=PowerLadder(
+                transition, ell, bits=self.config.precision_bits
+            ),
         )
         if self.cache is not None:
             self.cache.store(key, numerics)
         return numerics
 
-    def _build_numerics(
+    def _charge_phase_numerics(
         self,
-        subset: list[int],
+        ledger: RoundLedger,
+        size: int,
         is_phase_one: bool,
         ell: int,
-        ledger: RoundLedger,
-        backend: MatmulBackend,
-    ) -> PhaseNumerics:
-        """Cold path: compute shortcut/Schur/ladder and charge as we go."""
-        graph = self.graph
-        config = self.config
-        shortcut, shortcut_squarings = self._compute_shortcut(
-            subset, is_phase_one, ledger
-        )
-        if is_phase_one:
-            transition = self.linalg.transition_matrix(graph)
-            order = list(range(graph.n))
-        else:
-            transition, order = self._compute_schur(subset, ledger)
-        ladder = PowerLadder(
-            transition,
-            ell,
-            bits=config.precision_bits,
-            ledger=ledger,
-            matmul=backend,
-            note="phase ladder",
-        )
-        return PhaseNumerics(
-            shortcut=shortcut,
-            transition=transition,
-            order=order,
-            ladder=ladder,
-            is_phase_one=is_phase_one,
-            ladder_size=transition.shape[0],
-            ladder_squarings=ladder.squarings,
-            ladder_entry_words=ladder.entry_words,
-            shortcut_squarings=shortcut_squarings,
-        )
-
-    def _replay_charges(
-        self,
-        numerics: PhaseNumerics,
-        ledger: RoundLedger,
-        backend: MatmulBackend,
     ) -> None:
-        """Charge a cache hit exactly what a cold build would have charged."""
-        n = self.graph.n
-        if numerics.shortcut_squarings:
-            self._charge_derived_matmul(
-                ledger,
-                2 * n,
-                count=numerics.shortcut_squarings,
-                note="shortcut graph (cached numerics)",
-            )
-        if not numerics.is_phase_one:
-            self._charge_derived_matmul(
-                ledger, n, count=1, note="schur graph (cached numerics)"
-            )
-        backend.charge_replay(
-            numerics.ladder_size,
-            count=numerics.ladder_squarings,
-            entry_words=numerics.ladder_entry_words,
-            note="phase ladder (cached numerics)",
-        )
+        """Bill one phase's derived graphs and power ladder.
 
-    def _compute_shortcut(
-        self, subset: list[int], is_phase_one: bool, ledger: RoundLedger
-    ) -> tuple[np.ndarray, int]:
-        """ShortCut(G, S) matrix + its Corollary 2 round charge.
-
-        Returns ``(matrix, squarings)`` with ``squarings`` the charged
-        count (0 in phase 1), recorded for cache replay.
+        Every charge is a closed form of ``(n, |S|, phase, ell,
+        precision_bits)`` -- never of the numerics or of cache state --
+        so a cache hit and a cold build bill byte-identical entries.
+        Derived-graph products are analytic in unicast variants and
+        sketch rounds in the broadcast-bandwidth category in broadcast
+        variants (those only arise when an explicit ``rho`` override
+        forces later phases -- the default full-cover policy never
+        builds a Schur phase). The ladder goes through the matmul
+        backend the config names.
         """
-        shortcut = self.linalg.shortcut_matrix(self.graph, subset)
-        squarings = 0
+        n = self.graph.n
+        broadcast = self.spec.comm_model == "broadcast"
         if not is_phase_one:
-            beta = self.config.normalizer_floor(self.graph.n)
+            derived = make_matmul_backend(
+                "broadcast-collective" if broadcast else "analytic", n, ledger
+            )
+            beta = self.config.normalizer_floor(n)
             # Corollary 2: log(k) squarings of the 2n x 2n auxiliary chain.
             squarings = max(
-                1,
-                math.ceil(
-                    math.log2(
-                        max(2.0, self.graph.n ** 3 * math.log(1.0 / beta))
-                    )
-                ),
+                1, math.ceil(math.log2(max(2.0, n ** 3 * math.log(1.0 / beta))))
             )
-            self._charge_derived_matmul(
-                ledger, 2 * self.graph.n, count=squarings, note="shortcut graph"
-            )
-        return shortcut, squarings
-
-    def _charge_derived_matmul(
-        self, ledger: RoundLedger, size: int, *, count: int, note: str
-    ) -> None:
-        """Bill derived-graph products in the variant's comm model.
-
-        Unicast variants keep the analytic matmul charge they always
-        had; broadcast variants bill the same product count as sketch
-        rounds in the broadcast-bandwidth category (these only arise
-        when an explicit ``rho`` override forces later phases -- the
-        default full-cover policy never builds a Schur phase).
-        """
-        if self.spec.comm_model == "broadcast":
-            rounds = ledger.model.broadcast_matmul_rounds(size) * count
-            ledger.charge(self.spec.bandwidth_category, rounds, note)
-        else:
-            ledger.charge_matmul(size, count=count, note=note)
-
-    def _compute_schur(
-        self, subset: list[int], ledger: RoundLedger
-    ) -> tuple[np.ndarray, list[int]]:
-        """Schur(G, S) transition matrix + its Corollary 3 round charge."""
-        transition, order = self.linalg.schur_transition(self.graph, subset)
-        # Corollary 3: one extra product (QR) on top of the shortcut work.
-        self._charge_derived_matmul(
-            ledger, self.graph.n, count=1, note="schur graph"
+            derived.charge(2 * n, count=squarings, note="shortcut graph")
+            # Corollary 3: one extra product (QR) on top of the shortcut work.
+            derived.charge(n, note="schur graph")
+        # Lemma 7: log2(ell) squarings of the |S| x |S| phase chain, with
+        # entries of `precision_bits` bits shipped as that many words.
+        bits = self.config.precision_bits
+        entry_words = (
+            None if bits is None else max(1, math.ceil(bits / math.log2(max(size, 2))))
         )
-        return transition, order
+        ladder_backend = make_matmul_backend(
+            "broadcast-collective" if broadcast else self.config.matmul_backend,
+            size,
+            ledger,
+        )
+        ladder_backend.charge(
+            size,
+            count=ell.bit_length() - 1,
+            entry_words=entry_words,
+            note="phase ladder",
+        )

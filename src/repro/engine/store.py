@@ -10,8 +10,9 @@ the missing tier:
 - :class:`DiskTier` -- a content-addressed on-disk blob store. Each
   :class:`~repro.engine.cache.PhaseNumerics` entry becomes one directory
   of ``.npy`` (dense, loaded back memory-mapped) / ``.npz`` (CSR) blobs
-  plus a ``meta.json`` charge recipe, keyed by a digest of the engine's
-  ``(config fingerprint, subset)`` cache key. Writes are atomic
+  plus a ``meta.json`` (array layout, subset order, ladder shape), keyed
+  by a digest of the engine's ``(config fingerprint, subset)`` cache
+  key. Writes are atomic
   (tmp directory + rename), so concurrent ensemble workers sharing one
   ``cache_dir`` can never observe a half-written entry; loads are
   corruption-tolerant (a bad blob is a miss, never a crash). Byte
@@ -31,8 +32,12 @@ the missing tier:
 
 Reproducibility contract (property-tested): the disk tier cold, warm, or
 disabled never changes sampled trees or round ledgers -- ``.npy``/``.npz``
-round trips preserve float64 entries bit-for-bit, and cache hits replay
-the recorded charge recipe exactly as the in-memory tier always has.
+round trips preserve float64 entries bit-for-bit, and the engine bills a
+hit exactly as it bills a cold build. Entries written by older versions
+also carry charge-recipe keys in ``meta.json`` (``is_phase_one``,
+``ladder_size``, ``ladder_squarings``, ``ladder_entry_words``,
+``shortcut_squarings``); they are ignored, so those entries load as
+plain hits.
 Bit-for-bit means "as the writer computed them", not canonical: processes
 at different BLAS thread counts (budgeted pool workers vs a front end,
 see :mod:`repro.linalg.threads`) can compute entries that differ in the
@@ -308,19 +313,12 @@ class DiskTier:
             powers,
             ell=int(meta["ladder_ell"]),
             bits=meta["ladder_bits"],
-            squarings=int(meta["ladder_squarings"]),
-            entry_words=meta["ladder_entry_words"],
         )
         return PhaseNumerics(
             shortcut=shortcut,
             transition=transition,
             order=[int(v) for v in meta["order"]],
             ladder=ladder,
-            is_phase_one=bool(meta["is_phase_one"]),
-            ladder_size=int(meta["ladder_size"]),
-            ladder_squarings=int(meta["ladder_squarings"]),
-            ladder_entry_words=meta["ladder_entry_words"],
-            shortcut_squarings=int(meta["shortcut_squarings"]),
         )
 
     # -- store ----------------------------------------------------------
@@ -395,11 +393,6 @@ class DiskTier:
                 )
         meta = {
             "version": STORE_FORMAT_VERSION,
-            "is_phase_one": bool(numerics.is_phase_one),
-            "ladder_size": int(numerics.ladder_size),
-            "ladder_squarings": int(numerics.ladder_squarings),
-            "ladder_entry_words": numerics.ladder_entry_words,
-            "shortcut_squarings": int(numerics.shortcut_squarings),
             "order": [int(v) for v in numerics.order],
             "ladder_ell": int(ladder.ell),
             "ladder_bits": ladder.bits,

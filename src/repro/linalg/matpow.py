@@ -11,9 +11,10 @@ entries truncated to O(log(1/delta)) bits: define ``M'(1) = round(M)`` and
 so ``E(k) = O(delta * k^c log k)`` and choosing ``delta = Theta(beta /
 (k^c log k))`` achieves subtractive error beta with O(log^2 n)-bit entries.
 
-:class:`PowerLadder` implements exactly this, exposes every intermediate
-power, and can charge the analytic matmul cost per squaring to a
-:class:`~repro.clique.cost.RoundLedger`.
+:class:`PowerLadder` implements exactly this and exposes every
+intermediate power. It is pure numerics: the rounds of its squarings are
+billed by the caller (the engine charges a phase's ladder as a closed form
+of its size, ``ell`` and ``bits``; see :mod:`repro.engine.runner`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import math
 
 import numpy as np
 
-from repro.clique.cost import RoundLedger
 from repro.errors import GraphError, PrecisionError
 from repro.linalg.backend import is_sparse_matrix, maybe_densify
 
@@ -80,18 +80,6 @@ class PowerLadder:
         disables rounding (full float64 precision -- the exact-arithmetic
         idealization of Sections 2.1-2.3). Lemma 7's regime corresponds to
         ``bits = O(log^2 n)``.
-    ledger:
-        Optional round ledger; when given, each squaring charges one
-        matmul (entry width derived from ``bits``).
-    matmul:
-        Optional multiplication backend satisfying the
-        :class:`~repro.engine.backends.MatmulBackend` protocol (e.g.
-        :class:`repro.clique.matmul3d.SimulatedMatmul` or
-        :class:`~repro.engine.backends.AnalyticMatmul`). When set,
-        squarings run through it and *it* is responsible for round
-        charges (the analytic ``ledger`` charge is skipped to avoid
-        double counting). ``self.squarings`` and ``self.entry_words``
-        record the charge recipe so caches can replay it.
 
     Notes
     -----
@@ -106,9 +94,6 @@ class PowerLadder:
         ell: int,
         *,
         bits: int | None = None,
-        ledger: RoundLedger | None = None,
-        matmul=None,
-        note: str = "",
     ) -> None:
         if not is_sparse_matrix(matrix):
             matrix = np.asarray(matrix, dtype=np.float64)
@@ -122,33 +107,15 @@ class PowerLadder:
         self._powers: dict[int, np.ndarray] = {}
         base = matrix if bits is None else round_matrix_down(matrix, bits)
         self._powers[1] = base
-        entry_words = (
-            None if bits is None else max(1, math.ceil(bits / math.log2(max(self.n, 2))))
-        )
         k = 1
-        self.squarings = 0
-        self.entry_words = entry_words
         while k < ell:
-            if matmul is not None:
-                squared = matmul.multiply(
-                    self._powers[k],
-                    self._powers[k],
-                    entry_words=entry_words,
-                    note=note or f"P^{2 * k}",
-                )
-            else:
-                squared = self._powers[k] @ self._powers[k]
+            squared = self._powers[k] @ self._powers[k]
             k *= 2
-            self.squarings += 1
             if bits is not None:
                 squared = round_matrix_down(squared, bits)
             # Sparse ladders densify once repeated squaring fills a power
             # past the CSR break-even point (values are unchanged).
             self._powers[k] = maybe_densify(squared)
-            if ledger is not None and matmul is None:
-                ledger.charge_matmul(
-                    self.n, entry_words=entry_words, note=note or f"P^{k}"
-                )
 
     # ------------------------------------------------------------------
 
@@ -159,8 +126,6 @@ class PowerLadder:
         *,
         ell: int,
         bits: int | None,
-        squarings: int,
-        entry_words: int | None,
     ) -> "PowerLadder":
         """Rebuild a ladder from already-computed powers (no matmuls).
 
@@ -168,8 +133,6 @@ class PowerLadder:
         store (:mod:`repro.engine.store`): the powers were computed by a
         normal constructor call in some earlier process, so re-squaring
         them here would waste exactly the work the cache exists to skip.
-        ``squarings`` / ``entry_words`` restore the charge recipe the
-        cache replays; no ledger is charged by this constructor.
         """
         if ell < 1 or (ell & (ell - 1)) != 0:
             raise GraphError(f"ell must be a power of two >= 1, got {ell}")
@@ -185,8 +148,6 @@ class PowerLadder:
         ladder.ell = ell
         ladder.bits = bits
         ladder._powers = dict(powers)
-        ladder.squarings = squarings
-        ladder.entry_words = entry_words
         return ladder
 
     @property

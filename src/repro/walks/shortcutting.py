@@ -155,11 +155,16 @@ class ShortcuttingSampler:
                 harvested.add(v)
                 steps.append((walk_orig[position - 1], v))
             # One uniform vector covers every first-visit edge the
-            # phase harvests.
+            # phase harvests. S's mask and into-S weights are functions
+            # of (G, S) alone: computed once per phase.
+            s_mask = np.zeros(n, dtype=bool)
+            s_mask[subset] = True
+            weight_into_s = graph.weights[:, s_mask].sum(axis=1)
             uniforms = rng.random(len(steps)) if steps else ()
             for (prev, v), uniform in zip(steps, uniforms):
                 neighbors, law = first_visit_edge_distribution(
-                    graph, subset, shortcut, prev, v
+                    graph, subset, shortcut, prev, v,
+                    weight_into_s=weight_into_s, s_mask=s_mask,
                 )
                 fv_cdf = np.cumsum(law)
                 index = int(

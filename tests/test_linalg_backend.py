@@ -59,6 +59,42 @@ class TestAccessors:
             for j in range(3):
                 assert matrix_entry(dense, i, j) == matrix_entry(csr, i, j)
 
+    @pytest.mark.parametrize("family", ["expander", "cycle"])
+    def test_csr_rows_bit_equal_to_toarray(self, family):
+        """Every row of SparseLinalg's ShortCut, Schur and ladder matrices."""
+        graph, __ = build_family(family, 64, np.random.default_rng(0))
+        subset = sorted(
+            np.random.default_rng(1).choice(64, 33, replace=False).tolist()
+        )
+        linalg = SparseLinalg()
+        transition, __ = linalg.schur_transition(graph, subset)
+        ladder = PowerLadder(transition, 8)
+        matrices = [linalg.shortcut_matrix(graph, subset), transition]
+        matrices += [ladder.power(k) for k in ladder.exponents]
+        csr = [m for m in matrices if is_sparse_matrix(m)]
+        assert len(csr) >= 2
+        for matrix in csr:
+            dense = matrix.toarray()
+            for i in range(matrix.shape[0]):
+                row = matrix_row(matrix, i)
+                assert row.dtype == dense.dtype
+                assert row.tobytes() == dense[i].tobytes()
+
+    def test_non_canonical_csr_row_sums_duplicates(self):
+        # Row 0 stores column 2 twice and out of order.
+        csr = sparse.csr_array(
+            (
+                np.array([0.1, 0.2, 0.3, 0.7]),
+                np.array([2, 0, 2, 1]),
+                np.array([0, 3, 4, 4]),
+            ),
+            shape=(3, 3),
+        )
+        assert not csr.has_canonical_format
+        dense = csr.toarray()
+        for i in range(3):
+            assert matrix_row(csr, i).tobytes() == dense[i].tobytes()
+
     def test_to_dense_and_density(self):
         dense, csr = _dense_and_csr()
         assert np.array_equal(to_dense(csr), dense)

@@ -71,17 +71,25 @@ class TestRoundAccounting:
 
 class TestPowerLadderBackend:
     def test_ladder_with_simulated_backend_matches_exact(self, rng):
+        """The ladder is pure numerics; under ``simulated-3d`` the engine
+        bills its squarings as measured 3D products only."""
+        from repro.core import SamplerConfig
+        from repro.engine import SamplerEngine
+
         g = graphs.cycle_with_chord(8)
         p = g.transition_matrix()
-        ledger = RoundLedger()
-        backend = SimulatedMatmul(8, ledger=ledger)
-        ladder = PowerLadder(p, 16, ledger=ledger, matmul=backend)
+        ladder = PowerLadder(p, 16)
         assert np.allclose(ladder.power(16), np.linalg.matrix_power(p, 16))
+        engine = SamplerEngine(
+            g, SamplerConfig(ell=16, matmul_backend="simulated-3d")
+        )
+        ledger = RoundLedger()
+        engine._charge_phase_numerics(ledger, 8, True, 16)
         categories = ledger.rounds_by_category()
         # Only the simulated charge appears -- no analytic double count.
-        assert "matmul-simulated" in categories
-        assert "matmul" not in categories
-        assert backend.calls == 4
+        assert categories == {
+            "matmul-simulated": 4 * SimulatedMatmul(8).round_cost()
+        }
 
 
 class TestMatmulBackendProtocol:
@@ -106,54 +114,50 @@ class TestMatmulBackendProtocol:
         with pytest.raises(ConfigError):
             make_matmul_backend("quantum", 4)
 
-    def test_analytic_backend_charges_match_inline_ladder(self, rng):
-        """PowerLadder via AnalyticMatmul == PowerLadder's own charging."""
-        from repro.engine.backends import AnalyticMatmul
+    def test_analytic_backend_charges_match_inline_ladder(self):
+        """The engine's ladder charge == one analytic matmul per squaring."""
+        from repro.core import SamplerConfig
+        from repro.engine import SamplerEngine
 
         g = graphs.cycle_with_chord(8)
-        p = g.transition_matrix()
-        inline_ledger = RoundLedger()
-        PowerLadder(p, 16, ledger=inline_ledger, note="phase ladder")
-        backend_ledger = RoundLedger()
-        backend = AnalyticMatmul(backend_ledger)
-        ladder = PowerLadder(
-            p, 16, matmul=backend, note="phase ladder"
+        ledger = RoundLedger()
+        SamplerEngine(g, SamplerConfig(ell=16))._charge_phase_numerics(
+            ledger, 8, True, 16
         )
-        assert backend.calls == 4
-        assert ladder.squarings == 4
-        assert (
-            backend_ledger.rounds_by_category()
-            == inline_ledger.rounds_by_category()
-        )
+        per_squaring = RoundLedger()
+        for _ in range(4):
+            per_squaring.charge_matmul(8, note="phase ladder")
+        assert ledger.rounds_by_category() == per_squaring.rounds_by_category()
 
     def test_replay_matches_live_charges_analytic(self):
+        """One aggregated charge bills what per-product charges would."""
         from repro.engine.backends import AnalyticMatmul
 
         live_ledger = RoundLedger()
         live = AnalyticMatmul(live_ledger)
-        a = np.eye(9)
         for _ in range(3):
-            live.multiply(a, a, entry_words=2)
-        replay_ledger = RoundLedger()
-        AnalyticMatmul(replay_ledger).charge_replay(9, count=3, entry_words=2)
-        assert live_ledger.total_rounds() == replay_ledger.total_rounds()
+            live.charge(9, entry_words=2)
+        aggregated_ledger = RoundLedger()
+        AnalyticMatmul(aggregated_ledger).charge(9, count=3, entry_words=2)
+        assert live_ledger.total_rounds() == aggregated_ledger.total_rounds()
 
     def test_replay_matches_live_charges_simulated(self, rng):
+        """Charging without multiplying bills the measured product cost."""
         live_ledger = RoundLedger()
         live = SimulatedMatmul(8, ledger=live_ledger)
         a = rng.random((8, 8))
         for _ in range(3):
             live.multiply(a, a)
-        replay_ledger = RoundLedger()
-        replay = SimulatedMatmul(8, ledger=replay_ledger)
-        replay.charge_replay(count=3)
-        assert live_ledger.total_rounds() == replay_ledger.total_rounds()
-        assert replay.total_rounds == live.total_rounds
-        assert replay.calls == 0  # replays are not multiplications
+        charged_ledger = RoundLedger()
+        charged = SimulatedMatmul(8, ledger=charged_ledger)
+        charged.charge(8, count=3)
+        assert live_ledger.total_rounds() == charged_ledger.total_rounds()
+        assert charged.total_rounds == live.total_rounds
+        assert charged.calls == 0  # charges are not multiplications
 
     def test_simulated_replay_size_mismatch_rejected(self):
         with pytest.raises(ModelError):
-            SimulatedMatmul(8).charge_replay(size=9)
+            SimulatedMatmul(8).charge(9)
 
     def test_round_cost_deterministic_and_consistent(self, rng):
         backend = SimulatedMatmul(27)

@@ -7,6 +7,8 @@ import pytest
 
 from repro import graphs
 from repro.clique import RoundLedger
+from repro.core import SamplerConfig
+from repro.engine import SamplerEngine
 from repro.errors import GraphError, PrecisionError
 from repro.linalg import PowerLadder, lemma7_error_bound, round_matrix_down
 
@@ -97,21 +99,35 @@ class TestPowerLadder:
         assert PowerLadder(p, 4).max_subtractive_error_bound() == 0.0
 
     def test_ledger_charged_per_squaring(self):
+        """A phase's ladder bills one matmul per squaring.
+
+        The ladder itself is pure numerics; the engine's one charge
+        function bills it as a closed form of ``(|S|, ell, bits)``.
+        """
         g = graphs.cycle_graph(6)
+        engine = SamplerEngine(g, SamplerConfig(ell=16))
         ledger = RoundLedger()
-        PowerLadder(g.transition_matrix(), 16, ledger=ledger)
+        engine._charge_phase_numerics(ledger, 6, True, 16)
         # 4 squarings, each one matmul.
         per = ledger.model.matmul_rounds(6)
         assert ledger.total_rounds() == 4 * per
+        assert [e.note for e in ledger.entries] == ["phase ladder"]
 
     def test_rounded_ladder_entry_words_cheaper(self):
         g = graphs.cycle_graph(64)
         exact_ledger, rounded_ledger = RoundLedger(), RoundLedger()
-        PowerLadder(g.transition_matrix(), 4, ledger=exact_ledger)
-        PowerLadder(g.transition_matrix(), 4, bits=8, ledger=rounded_ledger)
+        SamplerEngine(g, SamplerConfig(ell=4))._charge_phase_numerics(
+            exact_ledger, 64, True, 4
+        )
+        SamplerEngine(
+            g, SamplerConfig(ell=4, precision_bits=8)
+        )._charge_phase_numerics(rounded_ledger, 64, True, 4)
         # 8-bit entries (2 words at n = 64) are cheaper than the default
         # O(log n)-word estimate used for full-precision entries.
-        assert rounded_ledger.total_rounds() <= exact_ledger.total_rounds()
+        assert rounded_ledger.total_rounds() < exact_ledger.total_rounds()
+        assert rounded_ledger.total_rounds() == 2 * RoundLedger().model.matmul_rounds(
+            64, entry_words=2
+        )
 
     def test_stationary_convergence(self):
         """Huge powers converge to the stationary distribution (the regime

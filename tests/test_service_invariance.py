@@ -27,6 +27,7 @@ serving substrate (and its invariants) wholesale.
 
 from __future__ import annotations
 
+import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -106,22 +107,26 @@ def test_two_servers_match_each_other_and_local(server_pair, variant):
         GRAPH, request, config=overrides
     )
 
-    # The bill is the invariant: trees, per-draw round totals, and
-    # per-category round sums are byte-equal everywhere. Raw ledger
-    # *entries* are not compared -- a warm engine replays cached phase
-    # numerics as one aggregated "(cached numerics)" charge where a cold
-    # worker bills the ladder step by step, identical totals either way,
-    # and which engines are warm is exactly what varies across hosts.
+    # The bill is the invariant: trees, per-draw round totals,
+    # per-category round sums and the full raw ledger are byte-equal
+    # everywhere. The ledger never depends on which engines are warm,
+    # which is exactly what varies across hosts.
     def bill(results):
         return [
-            (r.tree, r.rounds, r.rounds_by_category()) for r in results
+            (
+                r.tree,
+                r.rounds,
+                r.rounds_by_category(),
+                json.dumps(r.ledger.to_dict(), sort_keys=True),
+            )
+            for r in results
         ]
 
     reference = bill(local)
     if variant == "broadcast":
         # Every charge lands in the Broadcast CC bandwidth category --
         # the new accounting regime the registry routes this variant to.
-        for _, _, categories in reference:
+        for _, _, categories, _ in reference:
             assert set(categories) == {"broadcast-bandwidth"}
     for label, results in (
         ("server A batch", batch_a),
