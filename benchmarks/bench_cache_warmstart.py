@@ -16,10 +16,13 @@ power ladders that some earlier process already computed for the same
 ``(G, S, config)``. This bench measures exactly that contract on the
 dense reference path, where the derived-graph numerics dominate a draw:
 
-- **cold** -- fresh session over an empty cache directory (computes and
-  spills everything);
-- **warm-memory** -- the same session re-running the same-seed request
-  (every phase served from the RAM tier);
+- **cold** -- fresh session over an empty cache directory (computes
+  everything, keeps phase 1's ``S = V`` entry, and records every later
+  phase's first sighting without keeping it);
+- **warm-memory** -- the same session re-running the same-seed request.
+  Phase 1 hits the RAM tier; every later phase is on its second
+  sighting, so it is rebuilt once more and admitted to both tiers.
+  This run is the admitting one, not a RAM-hit replay;
 - **warm-disk** -- a *new* session over the now-populated directory
   (fresh RAM tier, every phase promoted from the disk tier -- the
   process-restart scenario).

@@ -29,7 +29,9 @@ everywhere at once.
   ``~/.cache/repro-spanning-trees``) with a 256 MiB RAM tier and a
   4 GiB disk tier, so restarts and ensemble workers warm-start and the
   ``auto`` backend picks up this machine's calibrated sparse crossover
-  (``python -m repro calibrate``).
+  (``python -m repro calibrate``). The tiers keep phase 1's ``S = V``
+  entry at once and a later phase's on its second sighting, so fresh
+  seeds do not fill the budgets.
 """
 
 from __future__ import annotations

@@ -141,10 +141,12 @@ class Session:
         Flat int-valued dict: ``hits``/``misses``/``evictions``/
         ``entries``/``bytes`` for the memory tier, plus ``disk_hits``/
         ``spills``/``promotes``/``disk_entries``/``disk_bytes``/
-        ``disk_evictions`` when the session runs a tiered store
-        (``config.cache_dir``). Empty when caching is disabled. Requests
-        fanned out to worker processes (``jobs > 1``) warm the shared
-        disk tier but not this session's in-process counters.
+        ``disk_evictions`` and ``transient`` (builds the store declined
+        to keep: a later phase's first sighting) when the session runs
+        a tiered store (``config.cache_dir``). Empty when caching is
+        disabled. Requests fanned out to worker processes (``jobs > 1``)
+        warm the shared disk tier but not this session's in-process
+        counters.
         """
         return {} if self._cache is None else self._cache.stats()
 

@@ -216,7 +216,8 @@ def _render_cache_line(meta: dict) -> str | None:
     if "disk_hits" in cache:
         line += (
             f"; disk {cache['disk_hits']} hits, {cache.get('spills', 0)} "
-            f"spills, {cache.get('disk_entries', 0)} entries "
+            f"spills, {cache.get('transient', 0)} transient, "
+            f"{cache.get('disk_entries', 0)} entries "
             f"({cache.get('disk_bytes', 0) / 2**20:.1f} MB)"
         )
     return line

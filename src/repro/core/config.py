@@ -111,6 +111,10 @@ class SamplerConfig:
         content-addressed ``.npy``/``.npz`` blobs under this directory
         and survive process restarts, so ensemble workers and fresh CLI
         invocations warm-start instead of recomputing phase numerics.
+        Phase 1's ``S = V`` entry is kept when first built; a later
+        phase's only when the directory's sighting table has seen its
+        subset before, so a pinned seed persists on its second run and
+        fresh seeds leave one entry per graph.
         ``None`` (default) keeps the cache purely in-memory; the
         sentinel ``"auto"`` uses ``$REPRO_CACHE_DIR`` or
         ``~/.cache/repro-spanning-trees``. The same directory holds this

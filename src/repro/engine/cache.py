@@ -6,6 +6,9 @@ matrix, and the Lemma 7 power ladder. These numerics are deterministic
 functions of ``(G, S, config)`` -- no randomness touches them -- so
 ensemble workloads that revisit a subset (phase 1's ``S = V`` on *every*
 draw; later subsets whenever walks coincide) can reuse them wholesale.
+Used alone, this cache keeps every build; under a ``cache_dir`` the
+tiered store (:mod:`repro.engine.store`) keeps a later phase's build
+only on its volume's second sighting of the subset.
 
 The round model is unaffected by reuse: rounds are charged *per run*,
 and the engine bills every phase's numerics as a closed form of the
@@ -190,8 +193,14 @@ class DerivedGraphCache:
         self.hits += 1
         return entry
 
-    def store(self, key: Hashable, numerics: PhaseNumerics) -> None:
-        """Insert (or refresh) an entry, evicting LRU ones past either cap."""
+    def store(
+        self, key: Hashable, numerics: PhaseNumerics, *, phase_one: bool = True
+    ) -> None:
+        """Insert (or refresh) an entry, evicting LRU ones past either cap.
+
+        ``phase_one`` is the engine's admission hint; a RAM-only cache
+        keeps every build regardless (the tiered store acts on it).
+        """
         size = _entry_nbytes(numerics)
         if self.max_bytes is not None and size > self.max_bytes:
             # Refused residency: admitting an entry bigger than the

@@ -353,7 +353,10 @@ class SamplerEngine:
         """This phase's numerics: a cache hit or a cold build.
 
         Charges nothing; :meth:`_charge_phase_numerics` bills the phase
-        the same either way.
+        the same either way. A cold build is offered to the cache with
+        its phase-one flag; a tiered store keeps a later phase's build
+        only on its volume's second sighting
+        (:meth:`~repro.engine.store.TieredPhaseStore.store`).
         """
         key = (self._cache_token, tuple(subset))
         cached = self.cache.lookup(key) if self.cache is not None else None
@@ -375,7 +378,7 @@ class SamplerEngine:
             ),
         )
         if self.cache is not None:
-            self.cache.store(key, numerics)
+            self.cache.store(key, numerics, phase_one=is_phase_one)
         return numerics
 
     def _charge_phase_numerics(

@@ -24,11 +24,22 @@ the missing tier:
   and goes when the entry is evicted, pruned or cleared.
 - :class:`TieredPhaseStore` -- the two-tier composite the engine talks
   to: memory hits stay in RAM, memory misses consult the disk tier and
-  promote hits back into RAM, stores write through to disk. It exposes
-  the same ``lookup``/``store``/``stats`` surface as
+  promote hits back into RAM. It exposes the same
+  ``lookup``/``store``/``stats`` surface as
   :class:`~repro.engine.cache.DerivedGraphCache`, so
   :class:`~repro.engine.runner.SamplerEngine` is agnostic to whether its
   cache is one tier or two.
+
+Admission is by reuse. Phase 1's ``S = V`` recurs on every draw and is
+kept in both tiers the first time it is built. A later phase's subset
+almost never recurs across seeds, so its numerics are kept only on the
+volume's *second* sighting of its key: the first build records the key
+in the sighting table (``sightings.bin``, :data:`SIGHTING_SLOTS`
+direct-mapped 8-byte slots beside ``index.json``), serves its draw and
+is dropped. The table is shared by every process on the volume, so a
+second sighting counts across shards, restarts, ensemble workers and
+CLI invocations: a same-seed replay rebuilds once, keeps the entry, and
+hits from then on.
 
 Reproducibility contract (property-tested): the disk tier cold, warm, or
 disabled never changes sampled trees or round ledgers -- ``.npy``/``.npz``
@@ -79,6 +90,10 @@ __all__ = [
 
 STORE_FORMAT_VERSION = 1
 DEFAULT_CACHE_ROOT_ENV = "REPRO_CACHE_DIR"
+# The sighting table: direct-mapped slots, each holding the 8-byte
+# digest prefix of the last key sighted there (128 KiB in all).
+SIGHTING_SLOTS = 1 << 14
+_SLOT_BYTES = 8
 # Crash leftovers (tmp dirs whose writer died before the rename) are
 # swept on open, but only once they are unambiguously stale -- a live
 # concurrent writer's tmp dir must never be deleted from under it.
@@ -194,17 +209,19 @@ class DiskTier:
 
     Layout under ``root``::
 
-        blobs/<digest>/meta.json          # charge recipe + blob index
+        blobs/<digest>/meta.json          # array layout + blob index
         blobs/<digest>/shortcut.npy|.npz  # one file per matrix
         blobs/<digest>/transition.npy|.npz
         blobs/<digest>/power_<k>.npy|.npz
         blobs/<digest>/plan.npz           # old volumes only; never read
         index.json                        # advisory LRU/byte ledger
+        sightings.bin                     # advisory admission table
 
     ``index.json`` is *advisory*: it speeds up eviction decisions but the
     blob directories are the source of truth, so a corrupt or stale index
     (concurrent writers race on it, last write wins) is rebuilt by
-    scanning, never trusted into a crash.
+    scanning, never trusted into a crash. ``sightings.bin`` is advisory
+    the same way (see :meth:`sighted`).
     """
 
     def __init__(
@@ -405,6 +422,41 @@ class DiskTier:
         (directory / "meta.json").write_text(json.dumps(meta))
         return _blob_bytes(directory)
 
+    # -- admission -------------------------------------------------------
+
+    def _sightings_path(self) -> Path:
+        return self.root / "sightings.bin"
+
+    def sighted(self, key: Hashable) -> bool:
+        """Record a sighting of ``key``; True if the volume saw it before.
+
+        The key's 8-byte digest prefix is stored in one of
+        :data:`SIGHTING_SLOTS` slots picked by that prefix. Unsynced
+        ``pread``/``pwrite``: a lost, torn or overwritten slot only
+        costs one extra sighting, and a slot can never match a key whose
+        prefix it does not hold, so a missing, short or garbage file
+        reads as empty (a wrongly sized one is resized to the fixed
+        table size), and one that cannot be opened reads as "never
+        seen".
+        """
+        tag = bytes.fromhex(key_digest(key)[: 2 * _SLOT_BYTES])
+        offset = int.from_bytes(tag, "big") % SIGHTING_SLOTS * _SLOT_BYTES
+        try:
+            fd = os.open(self._sightings_path(), os.O_RDWR | os.O_CREAT, 0o644)
+        except OSError:
+            return False
+        try:
+            if os.fstat(fd).st_size != SIGHTING_SLOTS * _SLOT_BYTES:
+                os.ftruncate(fd, SIGHTING_SLOTS * _SLOT_BYTES)
+            if os.pread(fd, _SLOT_BYTES, offset) == tag:
+                return True
+            os.pwrite(fd, tag, offset)
+        except OSError:
+            pass
+        finally:
+            os.close(fd)
+        return False
+
     # -- index / eviction ----------------------------------------------
 
     def _index_path(self) -> Path:
@@ -579,11 +631,13 @@ class DiskTier:
         return self.evictions - before
 
     def clear(self) -> int:
-        """Delete every published entry; returns how many were removed."""
+        """Delete every published entry and sighting; returns how many
+        entries were removed."""
         removed = self.entry_count()
         shutil.rmtree(self.blobs, ignore_errors=True)
         self.blobs.mkdir(parents=True, exist_ok=True)
         self._write_index({})
+        self._sightings_path().unlink(missing_ok=True)
         return removed
 
     # -- introspection --------------------------------------------------
@@ -611,10 +665,12 @@ class TieredPhaseStore:
     """RAM LRU over a shared disk tier, behind the one-tier cache surface.
 
     ``lookup`` serves memory hits directly, promotes disk hits into
-    memory, and only then reports a miss; ``store`` writes through to
-    disk so separately spawned worker processes see entries the moment
-    they exist (spill-on-evict would leave workers cold exactly while
-    the first process is busiest). Byte budgets are per tier.
+    memory, and only then reports a miss. ``store`` admits phase 1's
+    entry, and a later phase's on the volume's second sighting of its
+    key (:meth:`DiskTier.sighted`); an admitted entry is written through
+    to disk so separately spawned worker processes see it the moment it
+    exists (spill-on-evict would leave workers cold exactly while the
+    first process is busiest). Byte budgets are per tier.
     """
 
     def __init__(self, memory: DerivedGraphCache, disk: DiskTier) -> None:
@@ -622,6 +678,7 @@ class TieredPhaseStore:
         self.disk = disk
         self.promotes = 0
         self.full_misses = 0
+        self.transient = 0
 
     def __len__(self) -> int:
         return len(self.memory)
@@ -638,7 +695,19 @@ class TieredPhaseStore:
         self.full_misses += 1
         return None
 
-    def store(self, key: Hashable, numerics: PhaseNumerics) -> None:
+    def store(
+        self, key: Hashable, numerics: PhaseNumerics, *, phase_one: bool = True
+    ) -> None:
+        """Keep a fresh build in both tiers, or drop it on a first sighting.
+
+        ``phase_one`` says whether the key's subset is ``S = V``; a
+        later phase's build (``phase_one=False``) is kept only once the
+        volume has sighted its key before, and otherwise counted as
+        ``transient``.
+        """
+        if not phase_one and not self.disk.sighted(key):
+            self.transient += 1
+            return
         self.memory.store(key, numerics)
         self.disk.store(key, numerics)
 
@@ -661,6 +730,7 @@ class TieredPhaseStore:
         # "misses" means *full* misses -- a disk hit is not a recompute.
         stats["misses"] = self.full_misses
         stats["promotes"] = self.promotes
+        stats["transient"] = self.transient
         stats.update(self.disk.stats())
         return stats
 

@@ -8,9 +8,10 @@ own (module-global, built by :func:`init_worker` when the pool spawns).
 All of them point their sessions at the *same* ``cache_dir``, so a
 session that is cold in this process still warm-starts its phase
 numerics from whatever any other worker -- or any other host mounting
-the volume -- already computed. That shared disk tier, not session
-affinity, is what makes the shard layer scale: any worker can serve any
-task.
+the volume -- already computed and the volume admitted (phase 1 at
+once, a later phase on its second sighting anywhere on the volume).
+That shared disk tier, not session affinity, is what makes the shard
+layer scale: any worker can serve any task.
 
 Seeding: each pooled session gets a fresh entropy-derived root, so
 *seedless* requests draw genuinely independent randomness wherever they

@@ -195,6 +195,8 @@ class TestCacheDirFlag:
         assert main(argv) == 0
         cold = json.loads(capsys.readouterr().out)
         assert cold["meta"]["cache"]["spills"] > 0
+        assert main(argv) == 0  # second sighting admits later phases
+        capsys.readouterr()
         assert main(argv) == 0
         warm = json.loads(capsys.readouterr().out)
         # Fresh process-equivalent: everything served from the disk tier.
@@ -339,6 +341,7 @@ class TestCacheCommand:
         import os
 
         self._populate(tmp_path)
+        self._populate(tmp_path)  # second sighting admits later phases
         capsys.readouterr()
         clocks = sorted(tmp_path.glob("blobs/*/meta.json"))
         assert len(clocks) >= 2

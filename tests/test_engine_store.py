@@ -66,6 +66,7 @@ class TestTieredTransparency:
         )
         memory_only, __ = _run(graph, _config(), 9, variant)
         cold_disk, cold_engine = _run(graph, _config(tmp_path), 9, variant)
+        _run(graph, _config(tmp_path), 9, variant)  # admits later phases
         warm_disk, warm_engine = _run(graph, _config(tmp_path), 9, variant)
 
         results = [disabled, memory_only, cold_disk, warm_disk]
@@ -408,6 +409,7 @@ class TestPruneExpired:
         os.utime(tier.blobs / digest / "meta.json", (stamp, stamp))
 
     def test_expired_entries_go_fresh_entries_stay(self, tmp_path):
+        self._populate(tmp_path)  # first sighting of the later phases
         tier = self._populate(tmp_path)
         digests = sorted(d.name for d in tier.blobs.iterdir())
         assert len(digests) >= 2

@@ -65,6 +65,9 @@ def _draw(session, variant, seed):
 def _draw_three_ways(graph, tmp_path, variant, overrides, seed):
     """(cold, RAM hit, disk hit) draws of one pinned seed."""
     cold = _draw(Session(graph, _config(**overrides)), variant, seed)
+    # First sighting: later phases are built and dropped, so the warm
+    # session's building draw below is the admitting one.
+    _draw(Session(graph, _config(tmp_path, **overrides)), variant, seed)
 
     warm = Session(graph, _config(tmp_path, **overrides))
     building = _draw(warm, variant, seed)
@@ -98,6 +101,8 @@ def test_old_volume_recipe_keys_load_as_plain_hits(graph, tmp_path):
     variant, overrides = CELLS["analytic-dense"]
     seed = SEEDS[0]
     cold = _draw(Session(graph, _config(**overrides)), variant, seed)
+    _draw(Session(graph, _config(tmp_path, **overrides)), variant, seed)
+    # Second sighting admits the later phases.
     _draw(Session(graph, _config(tmp_path, **overrides)), variant, seed)
 
     metas = sorted(tmp_path.rglob("meta.json"))
