@@ -13,7 +13,8 @@ from __future__ import annotations
 
 
 from repro import graphs
-from repro.core import CongestedCliqueTreeSampler, Direction4Sampler, SamplerConfig
+from repro.core import Direction4Sampler, SamplerConfig
+from repro.engine import SamplerEngine
 
 NS = [27, 64, 125]
 
@@ -29,9 +30,7 @@ def test_direction4_phase_counts(benchmark, report, rng):
             ):
                 g = factory()
                 result = Direction4Sampler(g).sample(rng)
-                main = CongestedCliqueTreeSampler(
-                    g, SamplerConfig(ell=1 << 12)
-                ).sample(rng)
+                main = SamplerEngine(g, SamplerConfig(ell=1 << 12)).run(rng)
                 # The final phase mops up however few vertices remain, so
                 # the Barnes-Feige comparison uses non-final phases only.
                 non_final = result.distinct_per_phase[:-1] or (

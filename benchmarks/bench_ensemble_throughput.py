@@ -12,13 +12,16 @@ sides now place midpoints from the bank; no contingency DP runs.)
 
 Measured here, for n in {32, 64, 128} at 200 draws:
 
-- ``baseline``: a ``sample_many`` loop with per-draw numeric rebuilds
-  (``derived_cache=False``), timed over a smaller sample and reported as
-  trees/second;
+- ``baseline``: a plain ``engine.run(rng)`` loop over one
+  :class:`~repro.engine.runner.SamplerEngine` with per-draw numeric
+  rebuilds (``derived_cache=False``), timed over a smaller sample and
+  reported as trees/second;
 - ``single``: ``sample_ensemble(200, jobs=1)``;
 - ``multi``: ``sample_ensemble(200, jobs=2)`` (recorded even on 1-CPU
-  hosts, where it only adds fork overhead). Each worker runs on its
-  share of the BLAS threads (:func:`repro.linalg.threads.blas_budget`).
+  hosts, where it only adds fork overhead): chunks of
+  ``ceil(200 / (4 * 2)) = 25`` draws, each chunk on a fresh worker
+  engine. Each worker runs on its share of the BLAS threads
+  (:func:`repro.linalg.threads.blas_budget`).
 
 Acceptance gates: single-process engine >= 2x baseline throughput at
 n = 64, with byte-identical trees across jobs counts; and, on hosts with
@@ -39,8 +42,7 @@ import numpy as np
 
 from repro import graphs
 from repro.api import get_preset, preset_config
-from repro.core import CongestedCliqueTreeSampler
-from repro.engine import EnsembleEngine
+from repro.engine import EnsembleEngine, SamplerEngine
 from repro.linalg.threads import available_cpus
 
 NS = [32, 64, 128]
@@ -54,12 +56,13 @@ def _graph(n: int) -> "graphs.WeightedGraph":
 
 
 def _baseline_rate(n: int) -> float:
-    """Trees/second of a sample_many loop with no derived-graph cache."""
+    """Trees/second of an engine loop with no derived-graph cache."""
     config = preset_config("fast-audit", derived_cache=False)
-    sampler = CongestedCliqueTreeSampler(_graph(n), config)
+    engine = SamplerEngine(_graph(n), config)
     rng = np.random.default_rng(77)
     start = time.perf_counter()
-    sampler.sample_many(BASELINE_DRAWS, rng)
+    for _ in range(BASELINE_DRAWS):
+        engine.run(rng)
     return BASELINE_DRAWS / (time.perf_counter() - start)
 
 

@@ -15,7 +15,7 @@ from repro import graphs
 from repro.analysis import loglog_fit
 from repro.clique.cost import ALPHA
 from repro.api import get_preset
-from repro.core import CongestedCliqueTreeSampler, ExactTreeSampler
+from repro.engine import SamplerEngine
 
 CONFIG = get_preset("fast-bench").config
 NS = [16, 32, 64, 96]
@@ -28,8 +28,8 @@ def test_exact_variant_scaling(benchmark, report):
         for n in NS:
             rng = np.random.default_rng(1000 + n)
             g = graphs.random_regular_graph(n, 4, rng=rng)
-            approx[n] = CongestedCliqueTreeSampler(g, CONFIG).sample(rng)
-            exact[n] = ExactTreeSampler(g, CONFIG).sample(rng)
+            approx[n] = SamplerEngine(g, CONFIG).run(rng)
+            exact[n] = SamplerEngine(g, CONFIG, variant="exact").run(rng)
         return approx, exact
 
     benchmark.pedantic(experiment, rounds=1, iterations=1)

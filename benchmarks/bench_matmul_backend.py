@@ -15,7 +15,8 @@ import numpy as np
 from repro import graphs
 from repro.analysis import loglog_fit
 from repro.clique.cost import ALPHA
-from repro.core import CongestedCliqueTreeSampler, SamplerConfig
+from repro.core import SamplerConfig
+from repro.engine import SamplerEngine
 
 NS = [16, 32, 64]
 
@@ -29,9 +30,7 @@ def test_matmul_backend_ablation(benchmark, report):
                 rng = np.random.default_rng(9000 + n)
                 g = graphs.random_regular_graph(n, 4, rng=rng)
                 config = SamplerConfig(ell=1 << 12, matmul_backend=backend)
-                results[backend][n] = CongestedCliqueTreeSampler(
-                    g, config
-                ).sample(rng)
+                results[backend][n] = SamplerEngine(g, config).run(rng)
         return results
 
     benchmark.pedantic(experiment, rounds=1, iterations=1)

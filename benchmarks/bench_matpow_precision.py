@@ -14,7 +14,8 @@ import numpy as np
 
 from repro import graphs
 from repro.analysis import expected_tv_noise, tv_to_uniform
-from repro.core import CongestedCliqueTreeSampler, SamplerConfig
+from repro.core import SamplerConfig
+from repro.engine import SamplerEngine
 from repro.linalg import PowerLadder
 
 GRAPH = graphs.cycle_with_chord(5)
@@ -51,11 +52,11 @@ def test_lemma7_error_growth(benchmark, report):
 def test_reduced_precision_sampler_uniformity(benchmark, report):
     rng = np.random.default_rng(5150)
     config = SamplerConfig(ell=ELL, precision_bits=48)
-    sampler = CongestedCliqueTreeSampler(GRAPH, config)
+    engine = SamplerEngine(GRAPH, config)
     n_samples = 700
 
     def experiment():
-        return [sampler.sample_tree(rng) for _ in range(n_samples)]
+        return [engine.run(rng).tree for _ in range(n_samples)]
 
     trees = benchmark.pedantic(experiment, rounds=1, iterations=1)
     tv = tv_to_uniform(GRAPH, trees)

@@ -17,7 +17,7 @@ from repro.analysis import (
     tv_to_uniform,
 )
 from repro.api import get_preset
-from repro.core import CongestedCliqueTreeSampler
+from repro.engine import SamplerEngine
 from repro.graphs import count_spanning_trees
 from repro.walks import random_weight_mst_tree
 
@@ -37,7 +37,7 @@ def test_mst_strawman_bias(benchmark, report, rng):
         for name, g in cases.items():
             mst_trees = [random_weight_mst_tree(g, rng) for _ in range(N_SAMPLES)]
             our_trees = [
-                CongestedCliqueTreeSampler(g, CONFIG).sample_tree(rng)
+                SamplerEngine(g, CONFIG).run(rng).tree
                 for _ in range(N_SAMPLES // 3)
             ]
             results[name] = (

@@ -16,7 +16,8 @@ from repro import graphs
 from repro.analysis import loglog_fit
 from repro.clique.cost import ALPHA
 from repro.api import get_preset
-from repro.core import CongestedCliqueTreeSampler, expected_phases
+from repro.core import expected_phases
+from repro.engine import SamplerEngine
 
 CONFIG = get_preset("fast-bench").config
 NS = [16, 32, 64, 96, 128]
@@ -25,7 +26,7 @@ NS = [16, 32, 64, 96, 128]
 def _run(n: int, seed: int):
     rng = np.random.default_rng(seed)
     g = graphs.random_regular_graph(n, 4, rng=rng)
-    return CongestedCliqueTreeSampler(g, CONFIG).sample(rng)
+    return SamplerEngine(g, CONFIG).run(rng)
 
 
 def test_theorem1_round_scaling(benchmark, report):

@@ -20,12 +20,8 @@ import numpy as np
 from repro import graphs
 from repro.analysis import loglog_fit
 from repro.clique.cost import ALPHA
-from repro.core import (
-    CongestedCliqueTreeSampler,
-    ExactTreeSampler,
-    SamplerConfig,
-    sample_tree_fast_cover,
-)
+from repro.core import SamplerConfig, sample_tree_fast_cover
+from repro.engine import SamplerEngine
 from repro.walks import doubling_random_walk
 
 CONFIG = SamplerConfig(ell=1 << 12)
@@ -34,9 +30,7 @@ CONFIG = SamplerConfig(ell=1 << 12)
 def phase_breakdown() -> None:
     print("=== 1. Where the rounds go (n = 36 complete graph) ===")
     rng = np.random.default_rng(1)
-    result = CongestedCliqueTreeSampler(
-        graphs.complete_graph(36), CONFIG
-    ).sample(rng)
+    result = SamplerEngine(graphs.complete_graph(36), CONFIG).run(rng)
     total = result.rounds
     print(f"phases: {result.phases}, total rounds: {total}")
     for category, rounds in result.rounds_by_category().items():
@@ -51,10 +45,10 @@ def scaling() -> None:
     approx_rounds, exact_rounds = [], []
     for n in ns:
         g = graphs.random_regular_graph(n, 4, rng=rng)
-        approx_rounds.append(
-            CongestedCliqueTreeSampler(g, CONFIG).sample(rng).rounds
+        approx_rounds.append(SamplerEngine(g, CONFIG).run(rng).rounds)
+        exact_rounds.append(
+            SamplerEngine(g, CONFIG, variant="exact").run(rng).rounds
         )
-        exact_rounds.append(ExactTreeSampler(g, CONFIG).sample(rng).rounds)
         print(
             f"  n={n:<4d} approx={approx_rounds[-1]:>8d} "
             f"exact={exact_rounds[-1]:>8d}"

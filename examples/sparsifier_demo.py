@@ -17,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro import graphs
-from repro.core import CongestedCliqueTreeSampler, SamplerConfig
+from repro.core import SamplerConfig
+from repro.engine import SamplerEngine
 from repro.graphs import WeightedGraph
 from repro.walks import random_weight_mst_tree
 
@@ -68,8 +69,8 @@ def main() -> None:
     print(f"building sparsifiers with ~{k * (n - 1)} edges each\n")
 
     config = SamplerConfig(ell=1 << 12)
-    sampler = CongestedCliqueTreeSampler(dense, config)
-    uniform_trees = [sampler.sample_tree(rng) for _ in range(k)]
+    engine = SamplerEngine(dense, config)
+    uniform_trees = [engine.run(rng).tree for _ in range(k)]
     mst_trees = [random_weight_mst_tree(dense, rng) for _ in range(k)]
 
     candidates = {

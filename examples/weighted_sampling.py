@@ -16,7 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis import empirical_tree_distribution, tv_distance
-from repro.core import CongestedCliqueTreeSampler, ExactTreeSampler, SamplerConfig
+from repro.core import SamplerConfig
+from repro.engine import SamplerEngine
 from repro.graphs import WeightedGraph, count_spanning_trees, uniform_tree_distribution
 from repro.walks import wilson_tree
 
@@ -40,9 +41,11 @@ def main() -> None:
 
     config = SamplerConfig(ell=1 << 10)
     n_samples = 1500
+    theorem1 = SamplerEngine(graph, config)
+    exact = SamplerEngine(graph, config, variant="exact")
     samplers = {
-        "theorem1": CongestedCliqueTreeSampler(graph, config).sample_tree,
-        "exact (appendix)": ExactTreeSampler(graph, config).sample_tree,
+        "theorem1": lambda r: theorem1.run(r).tree,
+        "exact (appendix)": lambda r: exact.run(r).tree,
         "wilson (reference)": lambda r: wilson_tree(graph, r),
     }
     print(f"{'sampler':<20s} {'TV to weighted law':>19s} "

@@ -16,6 +16,13 @@ Quick start::
     g = graphs.random_regular_graph(32, 4, rng=np.random.default_rng(0))
     tree = sample_spanning_tree(g, rng=0)   # canonical edge tuple
 
+Every sampler variant (``"approximate"``, ``"exact"``, ``"broadcast"``)
+runs on one engine: ``repro.engine.SamplerEngine(g, config,
+variant=...).run(rng)`` returns the tree with its round ledger and phase
+diagnostics, :func:`repro.engine.sample_tree_ensemble` fans seed-spawned
+batches over worker processes, and :class:`repro.api.Session` is the
+service-facing surface over both.
+
 See README.md for the architecture overview and EXPERIMENTS.md for the
 paper-claim-by-claim reproduction results.
 """
@@ -23,13 +30,10 @@ paper-claim-by-claim reproduction results.
 from repro import analysis, api, clique, engine, graphs, linalg, matching, walks
 from repro.api import Session
 from repro.core import (
-    CongestedCliqueTreeSampler,
-    ExactTreeSampler,
     FastCoverResult,
     SampleResult,
     SamplerConfig,
     sample_spanning_tree,
-    sample_spanning_tree_exact,
     sample_tree_fast_cover,
 )
 from repro.errors import ReproError
@@ -47,13 +51,10 @@ __all__ = [
     "linalg",
     "matching",
     "walks",
-    "CongestedCliqueTreeSampler",
-    "ExactTreeSampler",
     "FastCoverResult",
     "SampleResult",
     "SamplerConfig",
     "sample_spanning_tree",
-    "sample_spanning_tree_exact",
     "sample_tree_fast_cover",
     "ReproError",
     "WeightedGraph",

@@ -25,10 +25,9 @@ further edits. Workload routing (which request kinds exist, which of
 them stream) likewise derives from the :mod:`repro.core.workloads`
 registry.
 
-The pre-session entry points (:func:`repro.sample_spanning_tree`,
-:meth:`~repro.core.sampler.CongestedCliqueTreeSampler.sample_many`,
-:func:`repro.engine.ensemble.sample_tree_ensemble`) remain supported as
-thin shims over the same engines.
+The two one-call functions (:func:`repro.sample_spanning_tree`,
+:func:`repro.engine.ensemble.sample_tree_ensemble`) run the same
+:class:`~repro.engine.runner.SamplerEngine` a session drives.
 """
 
 from repro.api.presets import (

@@ -2,11 +2,10 @@
 
 Public entry points:
 
-- :func:`~repro.core.sampler.sample_spanning_tree` /
-  :class:`~repro.core.sampler.CongestedCliqueTreeSampler` -- Theorem 1's
-  O~(n^{1/2 + alpha})-round approximate sampler;
-- :class:`~repro.core.exact.ExactTreeSampler` -- the appendix's
-  O~(n^{2/3 + alpha})-round exact sampler;
+- :func:`~repro.core.sampler.sample_spanning_tree` -- one tree from
+  Theorem 1's O~(n^{1/2 + alpha})-round approximate sampler, or, with
+  ``variant="exact"``, the appendix's O~(n^{2/3 + alpha})-round exact
+  sampler (both run by :class:`repro.engine.runner.SamplerEngine`);
 - :func:`~repro.core.fastcover.sample_tree_fast_cover` -- Corollary 1's
   O~(tau / n)-round sampler for small-cover-time graphs;
 - :class:`~repro.core.config.SamplerConfig` -- every tunable;
@@ -19,11 +18,6 @@ Public entry points:
 
 from repro.core.config import SamplerConfig
 from repro.core.direction4 import Direction4Result, Direction4Sampler
-from repro.core.exact import (
-    ExactTreeSampler,
-    exact_sample_with_diagnostics,
-    sample_spanning_tree_exact,
-)
 from repro.core.fastcover import FastCoverResult, sample_tree_fast_cover
 from repro.core.phase import PhaseStats, run_phase_walk
 from repro.core.rounds import (
@@ -45,19 +39,12 @@ from repro.core.variants import (
     sample_variant_names,
     variant_names,
 )
-from repro.core.sampler import (
-    CongestedCliqueTreeSampler,
-    SampleResult,
-    sample_spanning_tree,
-)
+from repro.core.sampler import SampleResult, sample_spanning_tree
 
 __all__ = [
     "SamplerConfig",
     "Direction4Result",
     "Direction4Sampler",
-    "ExactTreeSampler",
-    "exact_sample_with_diagnostics",
-    "sample_spanning_tree_exact",
     "FastCoverResult",
     "sample_tree_fast_cover",
     "PhaseStats",
@@ -77,7 +64,6 @@ __all__ = [
     "fitted_exponent",
     "theorem1_rounds",
     "theorem2_rounds",
-    "CongestedCliqueTreeSampler",
     "SampleResult",
     "sample_spanning_tree",
 ]

@@ -29,7 +29,7 @@ FailurePolicy = Literal["extend", "error"]
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Knobs for :class:`repro.core.sampler.CongestedCliqueTreeSampler`.
+    """Knobs for :class:`repro.engine.runner.SamplerEngine`, every variant.
 
     Attributes
     ----------

@@ -1,6 +1,6 @@
 """The sublinear-round CongestedClique spanning-tree sampler (Theorem 1).
 
-:class:`CongestedCliqueTreeSampler` is the stable public facade over the
+:func:`sample_spanning_tree` is the one-call entry point over the
 execution engine (:class:`repro.engine.runner.SamplerEngine`), which runs
 the full algorithm:
 
@@ -17,27 +17,18 @@ the full algorithm:
     after O(sqrt(n)) phases every vertex has a first-visit edge; those
     edges form the sampled spanning tree (Aldous-Broder).
 
-``variant="exact"`` switches to the appendix algorithm: ``rho =
-floor(n^(1/3))``, per-pair multiset placement (no matching sampler, no
-sampling error), and the Section 5.2 precision guard with brute-force
-fallback -- at the appendix's O~(n^{2/3 + alpha}) round cost.
+The variants (Theorem 1's ``"approximate"``, Appendix 5's ``"exact"``,
+the Anari-Haqi ``"broadcast"`` sampler) are parameters of that one phase
+loop, defined in the :mod:`repro.core.variants` registry.
 
 All communication is charged to a :class:`~repro.clique.cost.RoundLedger`
-through a :class:`~repro.clique.network.CongestedClique`; benchmarks read
-phase-resolved round counts off the result. Derived-graph numerics
-(shortcut/Schur/power ladders) are memoized across draws by the engine's
-:class:`~repro.engine.cache.DerivedGraphCache` -- each run still pays its
-full per-run round charges, and batch workloads should prefer
-:class:`~repro.engine.ensemble.EnsembleEngine` /
-:func:`~repro.engine.ensemble.sample_tree_ensemble` for multi-process
-fan-out.
-
-New code should prefer the session layer (:class:`repro.api.Session` with
-:class:`~repro.api.requests.SampleRequest` et al.): it shares the
-derived-graph cache across variants, owns a reproducible RNG lineage, and
-returns the serializable response envelope. The classes and functions
-here remain supported as thin shims over the same
-:class:`~repro.engine.runner.SamplerEngine`.
+through a :class:`~repro.clique.network.CongestedClique`. For the tree
+plus its diagnostics (round ledger, phase stats) call
+``SamplerEngine(graph, config, variant=...).run(rng)``; a loop of
+``engine.run(rng)`` over one engine shares its derived-graph cache
+across draws. Seed-spawned, multi-process batches go through
+:func:`~repro.engine.ensemble.sample_tree_ensemble`, and services through
+:class:`repro.api.Session`.
 """
 
 from __future__ import annotations
@@ -49,82 +40,7 @@ from repro.engine.results import SampleResult
 from repro.graphs.core import WeightedGraph
 from repro.graphs.spanning import TreeKey
 
-__all__ = ["SampleResult", "CongestedCliqueTreeSampler", "sample_spanning_tree"]
-
-# Engine-driven variant names come from the repro.core.variants registry;
-# the alias survives for type annotations in downstream code.
-Variant = str
-
-
-class CongestedCliqueTreeSampler:
-    """Sampler for (approximately) uniform spanning trees in the clique.
-
-    Parameters
-    ----------
-    graph:
-        Connected input graph. Unweighted graphs yield the uniform
-        distribution over spanning trees; positive-integer-weighted graphs
-        (footnote 1) yield trees with probability proportional to the
-        product of edge weights.
-    config:
-        Algorithm knobs; see :class:`~repro.core.config.SamplerConfig`.
-    variant:
-        Any engine-driven name from the :mod:`repro.core.variants`
-        registry: ``"approximate"`` (Theorem 1, rho = floor(sqrt(n)),
-        matching-based placement), ``"exact"`` (Appendix 5,
-        rho = floor(n^(1/3)), per-pair multiset placement), or
-        ``"broadcast"`` (Anari-Haqi, one full-cover phase billed in the
-        Broadcast Congested Clique).
-    """
-
-    def __init__(
-        self,
-        graph: WeightedGraph,
-        config: SamplerConfig | None = None,
-        *,
-        variant: Variant = "approximate",
-    ) -> None:
-        from repro.engine.runner import SamplerEngine
-
-        self.engine = SamplerEngine(graph, config, variant=variant)
-        self.graph = graph
-        self.config = self.engine.config
-        self.variant = variant
-
-    # ------------------------------------------------------------------
-
-    def sample(self, rng: np.random.Generator | None = None) -> SampleResult:
-        """Sample one spanning tree; returns tree + diagnostics."""
-        return self.engine.run(np.random.default_rng(rng))
-
-    def sample_tree(self, rng: np.random.Generator | None = None) -> TreeKey:
-        """Just the tree (convenience wrapper around :meth:`sample`)."""
-        return self.sample(rng).tree
-
-    def sample_many(
-        self, count: int, rng: np.random.Generator | None = None
-    ) -> list[SampleResult]:
-        """Draw ``count`` independent trees, reusing cached numerics.
-
-        Each draw is a fully independent run of the algorithm (own clique,
-        own ledger, full per-run round charges); only the floating-point
-        work of repeated derived graphs is shared through the engine's
-        :class:`~repro.engine.cache.DerivedGraphCache`. Delegates to
-        :meth:`repro.engine.ensemble.EnsembleEngine.run_sequential`; for
-        seed-spawned, multi-process batches use
-        :meth:`~repro.engine.ensemble.EnsembleEngine.sample_ensemble`.
-        """
-        from repro.engine.ensemble import EnsembleEngine
-
-        return EnsembleEngine(self.engine).run_sequential(
-            count, np.random.default_rng(rng)
-        )
-
-    def sample_trees(
-        self, count: int, rng: np.random.Generator | None = None
-    ) -> list[TreeKey]:
-        """``count`` trees (diagnostics discarded)."""
-        return [result.tree for result in self.sample_many(count, rng)]
+__all__ = ["SampleResult", "sample_spanning_tree"]
 
 
 def sample_spanning_tree(
@@ -132,12 +48,16 @@ def sample_spanning_tree(
     rng: np.random.Generator | int | None = None,
     *,
     config: SamplerConfig | None = None,
-    variant: Variant = "approximate",
+    variant: str = "approximate",
 ) -> TreeKey:
     """One-call convenience API: sample a spanning tree of ``graph``.
 
-    Equivalent to constructing a
-    :class:`CongestedCliqueTreeSampler` and calling :meth:`sample_tree`.
+    Unweighted graphs yield the uniform distribution over spanning trees;
+    positive-integer-weighted graphs (footnote 1) yield trees with
+    probability proportional to the product of edge weights. ``variant``
+    is any engine-driven name from :mod:`repro.core.variants`.
     """
-    sampler = CongestedCliqueTreeSampler(graph, config, variant=variant)
-    return sampler.sample_tree(np.random.default_rng(rng))
+    from repro.engine.runner import SamplerEngine
+
+    engine = SamplerEngine(graph, config, variant=variant)
+    return engine.run(np.random.default_rng(rng)).tree

@@ -130,6 +130,20 @@ VARIANTS: dict[str, VariantSpec] = {
             engine_driven=True,
             ensemble=True,
         ),
+        # Appendix 5 removes all three error sources of the approximate
+        # sampler, at O~(n^{2/3 + alpha}) = O(n^0.824) rounds:
+        # 1. quota failures (5.1): walks are extended from their
+        #    endpoints until the quota is met (Las Vegas), the phase
+        #    walk's default ``on_failure="extend"``;
+        # 2. approximate probabilities (5.2): midpoint normalizers are
+        #    checked against the 1/n^c floor, and a failure triggers the
+        #    collect-everything brute-force fallback (repro.core.phase);
+        # 3. approximate matching sampling (5.3): each M_{p,q} ships its
+        #    per-pair multiset instead; a pair's midpoints are
+        #    exchangeable, so a uniform order per pair is an exact
+        #    placement. Bandwidth forces rho = floor(n^(1/3)) (n^{2/3}
+        #    pair machines ship n^{1/3} words each, O(n) in total), which
+        #    raises the phase count to O(n^{2/3}).
         VariantSpec(
             name="exact",
             description="Appendix 5: per-pair multiset placement, zero error",

@@ -1,6 +1,7 @@
 """The batched sampling engine: backends, caching, and ensemble driving.
 
-Three layers sit between the public sampler facade and the numerics:
+Three layers sit between the public entry points (:class:`repro.api.Session`,
+:func:`repro.sample_spanning_tree`) and the numerics:
 
 1. :mod:`repro.engine.backends` -- the :class:`MatmulBackend` protocol
    unifying the analytic O~(n^alpha) charge model and the executable 3D
@@ -12,11 +13,13 @@ Three layers sit between the public sampler facade and the numerics:
    :class:`TieredPhaseStore` layering it over a persistent,
    process-shared on-disk blob tier (:class:`DiskTier`);
 3. :mod:`repro.engine.runner` / :mod:`repro.engine.ensemble` -- the
-   single-draw :class:`SamplerEngine` and the :class:`EnsembleEngine`
-   batch driver with multi-process fan-out.
+   single-draw :class:`SamplerEngine` (every variant's one algorithm
+   core) and :class:`EnsembleEngine` with one multi-process
+   fan-out, streamed or collected into a batch.
 
-``repro.core.sampler`` remains the stable public surface; this package is
-for workloads that want direct control over caching and batching.
+Workloads that want direct control over caching and batching use this
+package; a loop of ``SamplerEngine.run(rng)`` over one engine shares its
+cache across draws.
 """
 
 # Import order matters: leaf modules (backends/cache/results) come before

@@ -2,23 +2,20 @@
 
 Ensemble workloads -- uniformity audits, TV-distance estimation, leverage
 marginals, sparsifier construction -- need hundreds of independent draws
-from the same sampler. :class:`EnsembleEngine` runs them two ways:
-
-- :meth:`~EnsembleEngine.run_sequential` -- the facade's ``sample_many``
-  backend: draws share one rng stream and one warm
-  :class:`~repro.engine.cache.DerivedGraphCache`, exactly reproducing the
-  semantics of a plain Python loop over ``sample()``.
-- :meth:`~EnsembleEngine.sample_ensemble` -- the batch API: a master
-  :class:`numpy.random.SeedSequence` spawns one child seed per draw, and
-  draws fan out over ``jobs`` worker processes (contiguous chunks, each
-  worker building its own engine and cache). Because every draw is keyed
-  to its own spawned seed, single- and multi-process runs of the same
-  master seed produce byte-identical tree sequences -- parallelism never
-  changes outputs, only wall-clock.
-- :meth:`~EnsembleEngine.iter_ensemble` -- the streaming API behind
-  :meth:`repro.api.session.Session.stream`: identical seed spawning, but
-  draws are yielded incrementally (in draw order) as their worker chunks
-  complete instead of after the whole batch.
+from the same sampler. :class:`EnsembleEngine` runs them through one
+fan-out, :meth:`~EnsembleEngine.iter_ensemble`: a master
+:class:`numpy.random.SeedSequence` spawns one child seed per draw, and
+with ``jobs > 1`` draws fan out over worker processes in contiguous
+chunks of ``ceil(count / (4 * jobs))``, each chunk building its own
+engine and cache. Draws are yielded in draw order as their chunks land
+(the streaming API behind :meth:`repro.api.session.Session.stream`);
+:meth:`~EnsembleEngine.sample_ensemble` collects the same stream into an
+:class:`EnsembleResult`. Because every draw is keyed to its own spawned
+seed, single- and multi-process runs of the same master seed produce
+byte-identical tree sequences -- parallelism never changes outputs, only
+wall-clock. (A plain loop ``[engine.run(rng) for _ in range(k)]`` over
+one :class:`~repro.engine.runner.SamplerEngine` is the shared-stream
+alternative: one rng, one warm cache.)
 
 Each pool worker starts capped at its share of the host's BLAS threads
 (:func:`~repro.linalg.threads.blas_budget`), so ``jobs`` workers do not
@@ -28,9 +25,11 @@ matrix entries in their last ulps but not trees or round bills
 
 Workers receive ``(weights, config, variant, seeds)`` payloads; results
 (:class:`~repro.engine.results.SampleResult`) are plain dataclasses and
-pickle cleanly. If process spawning is unavailable (restricted sandboxes,
-daemonic parents), the driver degrades to the sequential path with the
-same seeds -- identical results, no failure.
+pickle cleanly. If process spawning is unavailable or the pool breaks
+(restricted sandboxes, daemonic parents, a killed worker), the engine
+keeps the draws already delivered and finishes the rest on the
+sequential path with the same seeds -- identical results, with the
+fallback draws flagged ``degraded``.
 
 When the config names a ``cache_dir``, workers share phase numerics
 through the disk tier (:mod:`repro.engine.store`). They load and spill
@@ -103,8 +102,8 @@ class EnsembleResult:
     jobs: int
     entropy: int | None = None
     cache_stats: dict = field(default_factory=dict)
-    # True when the process pool broke and the batch fell back to the
-    # sequential path (identical outputs, degraded delivery).
+    # True when the process pool broke and the undelivered draws fell
+    # back to the sequential path (identical outputs, degraded delivery).
     degraded: bool = False
 
     @property
@@ -164,7 +163,7 @@ class EnsembleResult:
 def _draw_chunk(
     payload: tuple[np.ndarray, SamplerConfig, str, list[np.random.SeedSequence]],
 ) -> tuple[list[SampleResult], dict]:
-    """Worker entry point: one engine + cache per process, one rng per draw.
+    """Worker entry point: one engine + cache per chunk, one rng per draw.
 
     Returns ``(results, cache_stats)``: every chunk ships its worker's
     per-tier cache counters back so the driver can aggregate a truthful
@@ -212,19 +211,6 @@ class EnsembleEngine:
 
     # ------------------------------------------------------------------
 
-    def run_sequential(
-        self, count: int, rng: np.random.Generator | None = None
-    ) -> list[SampleResult]:
-        """``count`` draws sharing one rng stream and one warm cache.
-
-        This is the backend of the facade's ``sample_many``: equivalent to
-        a Python loop over ``sample(rng)``.
-        """
-        if count < 1:
-            raise GraphError(f"count must be >= 1, got {count}")
-        rng = np.random.default_rng(rng)
-        return [self.engine.run(rng) for _ in range(count)]
-
     def sample_ensemble(
         self,
         count: int,
@@ -242,27 +228,14 @@ class EnsembleEngine:
         if count < 1:
             raise GraphError(f"count must be >= 1, got {count}")
         master = self._seed_sequence(seed)
-        seeds = master.spawn(count)
         jobs = self._resolve_jobs(jobs, count)
-
+        stats: dict = {}
         start = time.perf_counter()
-        degraded = False
-        if jobs <= 1:
-            results = [
-                self.engine.run(np.random.default_rng(s)) for s in seeds
-            ]
-            cache_stats = self._local_cache_stats()
-        else:
-            results, worker_stats, degraded = self._run_parallel(seeds, jobs)
-            # Degraded batches ran on the local engine, so its counters
-            # are the truthful ones; healthy fan-outs aggregate what the
-            # workers shipped back with their chunks.
-            cache_stats = (
-                self._local_cache_stats()
-                if degraded
-                else aggregate_cache_stats(worker_stats)
-            )
+        results = list(
+            self.iter_ensemble(count, seed=master, jobs=jobs, stats=stats)
+        )
         seconds = time.perf_counter() - start
+        degraded = stats.pop("degraded")
 
         # SeedSequence entropy may be an int, a list of ints, or None;
         # record it only in the plain reproducible-scalar case.
@@ -272,7 +245,7 @@ class EnsembleEngine:
             seconds=seconds,
             jobs=jobs,
             entropy=entropy,
-            cache_stats=cache_stats,
+            cache_stats=stats,
             degraded=degraded,
         )
 
@@ -286,19 +259,19 @@ class EnsembleEngine:
     ):
         """Stream ``count`` independent draws, yielding each as it lands.
 
-        Seeds are spawned exactly as in :meth:`sample_ensemble`, and every
-        draw is keyed to its own spawned child -- so for the same master
-        seed this generator yields the same trees and round bills, in the
-        same order, as the batch call (and as any jobs count). With
-        ``jobs > 1`` draws fan out over worker processes in small chunks
-        and are yielded in draw order as their chunks complete; consumers
-        see results incrementally instead of waiting for the full batch.
+        The one fan-out behind :meth:`sample_ensemble` too. Every draw is
+        keyed to its own spawned child seed, so for the same master seed
+        this generator yields the same trees and round bills, in the same
+        order, for any jobs count. With ``jobs > 1`` draws fan out over
+        worker processes in chunks of ``ceil(count / (4 * jobs))`` and are
+        yielded in draw order as their chunks complete.
 
         ``stats``, when given, is a caller-owned dict that is filled in
         as the stream runs: aggregated per-tier cache counters from the
         workers (or the local engine), plus ``degraded: True`` if the
-        process pool broke and the remaining draws fell back to the
-        sequential path. It is complete once the generator is exhausted.
+        process pool broke and the not-yet-delivered draws fell back to
+        the sequential path (only those draws are flagged). It is
+        complete once the generator is exhausted.
 
         Yields :class:`~repro.engine.results.SampleResult` instances.
         """
@@ -313,11 +286,19 @@ class EnsembleEngine:
         degraded = False
         worker_stats: list[dict] = []
         if jobs > 1:
-            # Smaller chunks than the batch path (which slices count/jobs)
-            # so results surface early; identical output either way since
-            # every draw is keyed to its own spawned seed.
+            # Four chunks per worker so results surface early; identical
+            # output for any chunking since every draw is keyed to its
+            # own spawned seed.
             chunk_size = max(1, (len(seeds) + 4 * jobs - 1) // (4 * jobs))
-            payloads = self._chunk_payloads(seeds, chunk_size)
+            payloads = [
+                (
+                    engine.graph.weights,
+                    engine.config,
+                    engine.variant,
+                    seeds[low:low + chunk_size],
+                )
+                for low in range(0, len(seeds), chunk_size)
+            ]
             pool = None
             try:
                 pool = self._pool(jobs)
@@ -332,10 +313,12 @@ class EnsembleEngine:
                         delivered += 1
                         yield result
             except (OSError, BrokenProcessPool, pickle.PicklingError) as error:
-                # Same degradation contract as sample_ensemble: process
-                # machinery failed, so finish the not-yet-yielded suffix
-                # sequentially with the same per-draw seeds. Loudly: the
-                # consumer sees a flagged stream, operators see a log.
+                # Process *machinery* failed (sandboxed fork, broken pool,
+                # unpicklable payload): keep the delivered prefix and
+                # finish the suffix sequentially with the same per-draw
+                # seeds. Exceptions raised inside a worker's sampling
+                # propagate unchanged. Loudly: the suffix is flagged and
+                # operators see a log.
                 degraded = True
                 _LOG.warning(
                     "ensemble stream degraded to sequential after %s: %s "
@@ -344,26 +327,25 @@ class EnsembleEngine:
                     len(seeds) - delivered,
                 )
             finally:
-                # No `with` block: a consumer abandoning the stream must
-                # not hang in executor shutdown until every queued chunk
-                # finishes. Cancel what hasn't started, don't wait.
+                # Every chunk delivered: join the workers. Otherwise the
+                # consumer abandoned the stream (or the pool broke), and
+                # it must not hang in shutdown until queued chunks finish:
+                # cancel what hasn't started, don't wait.
                 if pool is not None:
-                    pool.shutdown(wait=False, cancel_futures=True)
+                    finished = delivered == len(seeds)
+                    pool.shutdown(wait=finished, cancel_futures=not finished)
         for child in seeds[delivered:]:
             result = engine.run(np.random.default_rng(child))
             result.degraded = degraded
             yield result
         if stats is not None:
-            if jobs <= 1:
-                stats.update(self._local_cache_stats())
-            elif degraded:
-                # Completed chunks did real work before the pool broke;
-                # fold their counters in with the local fallback's.
-                stats.update(aggregate_cache_stats(
-                    worker_stats + [self._local_cache_stats()]
-                ))
-            else:
-                stats.update(aggregate_cache_stats(worker_stats))
+            # One aggregation: the counters workers shipped with their
+            # chunks, plus the local engine's when draws ran here (jobs=1,
+            # or the suffix of a degraded fan-out).
+            shares = list(worker_stats)
+            if (jobs <= 1 or degraded) and engine.cache is not None:
+                shares.append(engine.cache.stats())
+            stats.update(aggregate_cache_stats(shares))
             stats["degraded"] = degraded
 
     # ------------------------------------------------------------------
@@ -395,61 +377,6 @@ class EnsembleEngine:
             initializer=limit_blas_threads,
             initargs=(blas_budget(jobs),),
         )
-
-    def _chunk_payloads(
-        self, seeds: list[np.random.SeedSequence], chunk_size: int
-    ) -> list[tuple]:
-        """Contiguous seed chunks as :func:`_draw_chunk` worker payloads.
-
-        The payload shape is the wire contract with the worker; batch and
-        streaming paths must build it here so they can never drift.
-        """
-        engine = self.engine
-        return [
-            (
-                engine.graph.weights,
-                engine.config,
-                engine.variant,
-                seeds[low:low + chunk_size],
-            )
-            for low in range(0, len(seeds), chunk_size)
-        ]
-
-    def _local_cache_stats(self) -> dict:
-        """The driver engine's own cache counters (empty when disabled)."""
-        cache = self.engine.cache
-        return dict(cache.stats()) if cache is not None else {}
-
-    def _run_parallel(
-        self, seeds: list[np.random.SeedSequence], jobs: int
-    ) -> tuple[list[SampleResult], list[dict], bool]:
-        """Fan contiguous seed chunks across processes; order-preserving.
-
-        Returns ``(results, per_worker_cache_stats, degraded)``.
-        """
-        engine = self.engine
-        payloads = self._chunk_payloads(seeds, (len(seeds) + jobs - 1) // jobs)
-        try:
-            with self._pool(jobs) as pool:
-                chunked = list(pool.map(_draw_chunk, payloads))
-        except (OSError, BrokenProcessPool, pickle.PicklingError) as error:
-            # Process *machinery* failures only (sandboxed fork, broken
-            # pool, unpicklable payload): same seeds sequentially =>
-            # identical results. Exceptions raised inside a worker's
-            # sampling propagate unchanged -- retrying them serially
-            # would just repeat the failure slowly. The fallback is
-            # loud: logged here, flagged on every result it produced.
-            _LOG.warning(
-                "ensemble pool degraded to sequential after %s: %s "
-                "(jobs=%d, draws=%d)",
-                type(error).__name__, error, jobs, len(seeds),
-            )
-            results = [engine.run(np.random.default_rng(s)) for s in seeds]
-            for result in results:
-                result.degraded = True
-            return results, [], True
-        results = [result for chunk, _ in chunked for result in chunk]
-        return results, [stats for _, stats in chunked], False
 
 
 def sample_tree_ensemble(

@@ -1,8 +1,8 @@
-"""Result records shared by the engine and the public sampler facade.
+"""Result records shared by the engine's runner and ensemble layers.
 
 :class:`SampleResult` lives here (rather than in
-:mod:`repro.core.sampler`, which re-exports it) so the engine's runner and
-ensemble layers can construct results without importing the facade --
+:mod:`repro.core.sampler`, which re-exports it) so the engine can
+construct results without importing :mod:`repro.core.sampler` --
 keeping the engine -> core dependency one-directional.
 """
 
@@ -31,7 +31,7 @@ class SampleResult:
     phase_stats: list["PhaseStats"] = field(default_factory=list)
     clique_stats: dict = field(default_factory=dict)
     # True when this draw was produced by the ensemble driver's
-    # sequential-fallback path after the process pool broke (the tree and
+    # sequential fallback after the process pool broke (the tree and
     # ledger are identical either way -- the flag reports the *delivery*
     # degradation so services can surface it instead of masking it).
     degraded: bool = False

@@ -5,9 +5,10 @@ phase iteration, derived-graph construction (through the
 :class:`~repro.engine.cache.DerivedGraphCache`), matmul backend
 resolution (:mod:`repro.engine.backends`), the distributed walk
 (:func:`repro.core.phase.run_phase_walk`), and Algorithm 4's first-visit
-edges. The public :class:`repro.core.sampler.CongestedCliqueTreeSampler`
-is a thin facade over this class; batch workloads drive it through
-:class:`repro.engine.ensemble.EnsembleEngine`.
+edges. Every engine-driven variant of :mod:`repro.core.variants` is a
+parameter of this one class: :func:`repro.core.sampler.sample_spanning_tree`
+and :class:`repro.api.Session` call :meth:`SamplerEngine.run`, and batch
+workloads drive it through :class:`repro.engine.ensemble.EnsembleEngine`.
 
 Charging discipline: every run charges its full analytic (or measured)
 round bill to its own per-run ledger, whether or not the numerics came
@@ -55,8 +56,8 @@ class SamplerEngine:
     Parameters
     ----------
     graph:
-        Connected input graph (validated here, so facades inherit the
-        checks).
+        Connected input graph (validated here, so every caller inherits
+        the checks).
     config:
         Algorithm knobs; see :class:`~repro.core.config.SamplerConfig`.
     variant:

@@ -93,20 +93,16 @@ def _check_routing() -> str:
 
 def _check_samplers() -> str:
     from repro import graphs
-    from repro.core import (
-        CongestedCliqueTreeSampler,
-        ExactTreeSampler,
-        SamplerConfig,
-        sample_tree_fast_cover,
-    )
+    from repro.core import SamplerConfig, sample_tree_fast_cover
+    from repro.engine import SamplerEngine
     from repro.graphs import is_spanning_tree
 
     rng = np.random.default_rng(3)
     g = graphs.cycle_with_chord(7)
     config = SamplerConfig(ell=1 << 10)
     for sampler in (
-        CongestedCliqueTreeSampler(g, config).sample_tree,
-        ExactTreeSampler(g, config).sample_tree,
+        lambda r: SamplerEngine(g, config).run(r).tree,
+        lambda r: SamplerEngine(g, config, variant="exact").run(r).tree,
         lambda r: sample_tree_fast_cover(g, r).tree,
     ):
         tree = sampler(rng)
@@ -117,12 +113,13 @@ def _check_samplers() -> str:
 def _check_uniformity() -> str:
     from repro import graphs
     from repro.analysis import chi_square_uniformity
-    from repro.core import CongestedCliqueTreeSampler, SamplerConfig
+    from repro.core import SamplerConfig
+    from repro.engine import SamplerEngine
 
     rng = np.random.default_rng(4)
     g = graphs.cycle_graph(5)
-    sampler = CongestedCliqueTreeSampler(g, SamplerConfig(ell=1 << 10))
-    trees = [sampler.sample_tree(rng) for _ in range(200)]
+    engine = SamplerEngine(g, SamplerConfig(ell=1 << 10))
+    trees = [engine.run(rng).tree for _ in range(200)]
     __, p_value = chi_square_uniformity(g, trees)
     assert p_value > 1e-4, f"uniformity rejected (p = {p_value:.2e})"
     return f"chi-square sanity passed (p = {p_value:.2f})"

@@ -74,6 +74,7 @@ from repro.api.responses import sanitize_nonfinite
 from repro.core.workloads import streaming_request_kinds
 from repro.engine.results import SampleResult
 from repro.errors import ConfigError, ReproError
+from repro.linalg.threads import blas_budget, limit_blas_threads
 from repro.service import faults
 from repro.service.pool import SessionPool, ShardSupervisor, run_task
 from repro.service.protocol import (
@@ -951,5 +952,13 @@ async def _serve_async(config: ServerConfig) -> int:
 
 
 def serve(config: ServerConfig) -> int:
-    """Run a server until drained (SIGTERM/SIGINT); returns exit code 0."""
+    """Run a server until drained (SIGTERM/SIGINT); returns exit code 0.
+
+    The front end runs ``/v1/stream`` draws and degraded batches itself,
+    so it takes a BLAS thread share beside its ``workers`` shards: at the
+    default OpenBLAS pool, its worker thread can spin on the main
+    thread's core and stall every small product by a time slice. An
+    exported ``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS`` still wins.
+    """
+    limit_blas_threads(blas_budget(config.workers + 1))
     return asyncio.run(_serve_async(config))

@@ -289,22 +289,13 @@ class TestRequestValidation:
 
 
 class TestLegacyShims:
-    """The pre-session entry points still work over the same engines."""
+    """The one-call entry points still work over the same engines."""
 
     def test_sample_spanning_tree(self):
         from repro import sample_spanning_tree
 
         tree = sample_spanning_tree(graphs.cycle_graph(5), rng=0)
         assert len(tree) == 4
-
-    def test_sample_many(self):
-        from repro.core import CongestedCliqueTreeSampler
-
-        sampler = CongestedCliqueTreeSampler(
-            graphs.cycle_graph(5), preset_config("fast-audit")
-        )
-        results = sampler.sample_many(3, np.random.default_rng(1))
-        assert len(results) == 3
 
     def test_sample_tree_ensemble(self):
         from repro.engine import sample_tree_ensemble

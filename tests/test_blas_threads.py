@@ -167,6 +167,33 @@ def test_supervisor_reports_shard_budget():
     supervisor.shutdown()
 
 
+def test_serve_budgets_the_front_end(monkeypatch):
+    """``serve()`` caps its own process at one share beside its shards.
+
+    Only the ``serve`` entry point does: an in-process ``TreeService``
+    keeps its host's threads, and an exported override still wins.
+    """
+    from repro.service import server
+
+    calls = []
+    monkeypatch.setattr(server, "limit_blas_threads", calls.append)
+
+    async def no_server(config):
+        return 0
+
+    monkeypatch.setattr(server, "_serve_async", no_server)
+    for name in threads.OVERRIDE_VARS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(6)))
+    server.TreeService(server.ServerConfig(workers=2))
+    assert calls == []
+    assert server.serve(server.ServerConfig(workers=2)) == 0
+    assert calls == [2]  # 6 cpus // (2 shards + the front end)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    assert server.serve(server.ServerConfig(workers=2)) == 0
+    assert calls == [2, None]  # the override: limit_blas_threads no-ops
+
+
 # -- identity across thread counts ---------------------------------------
 
 

@@ -142,16 +142,17 @@ class TestSamplerMarginalsAgainstLeverage:
 
     @pytest.mark.slow
     def test_theorem1_sampler_edge_marginals(self):
-        from repro.core import CongestedCliqueTreeSampler, SamplerConfig
+        from repro.core import SamplerConfig
+        from repro.engine import SamplerEngine
 
         rng = np.random.default_rng(77)
         g = graphs.wheel_graph(8)
         leverage = edge_leverage_scores(g)
-        sampler = CongestedCliqueTreeSampler(g, SamplerConfig(ell=1 << 10))
+        engine = SamplerEngine(g, SamplerConfig(ell=1 << 10))
         n_samples = 600
         counts = {edge: 0 for edge in leverage}
         for _ in range(n_samples):
-            for edge in sampler.sample_tree(rng):
+            for edge in engine.run(rng).tree:
                 counts[edge] += 1
         for edge, score in leverage.items():
             assert counts[edge] / n_samples == pytest.approx(

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro import graphs
-from repro.core import CongestedCliqueTreeSampler, SamplerConfig
+from repro.core import SamplerConfig
 from repro.engine import DerivedGraphCache, SamplerEngine
 from repro.errors import ConfigError
 
@@ -28,8 +28,9 @@ class Sized:
 
 
 def _draws(graph, config, variant, seed, count=4):
-    sampler = CongestedCliqueTreeSampler(graph, config, variant=variant)
-    return sampler.sample_many(count, np.random.default_rng(seed))
+    engine = SamplerEngine(graph, config, variant=variant)
+    rng = np.random.default_rng(seed)
+    return [engine.run(rng) for _ in range(count)]
 
 
 class TestCacheTransparency:
@@ -81,9 +82,11 @@ class TestCacheTransparency:
 class TestCacheBehavior:
     def test_phase_one_hits_across_draws(self):
         g = graphs.complete_graph(12)
-        sampler = CongestedCliqueTreeSampler(g, SamplerConfig(ell=1 << 9))
-        sampler.sample_many(5, np.random.default_rng(0))
-        stats = sampler.engine.cache.stats()
+        engine = SamplerEngine(g, SamplerConfig(ell=1 << 9))
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            engine.run(rng)
+        stats = engine.cache.stats()
         # Phase 1 runs on S = V every draw: at least draws-1 hits.
         assert stats["hits"] >= 4
         assert stats["misses"] >= 1

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import json
+import multiprocessing
+import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
 from repro import graphs
-from repro.core import CongestedCliqueTreeSampler, SamplerConfig
+from repro.core import SamplerConfig
 from repro.engine import (
     EnsembleEngine,
     EnsembleResult,
@@ -75,8 +81,6 @@ class TestSampleEnsemble:
         with pytest.raises(GraphError):
             engine.sample_ensemble(0)
         with pytest.raises(GraphError):
-            engine.run_sequential(0)
-        with pytest.raises(GraphError):
             engine.sample_ensemble(2, jobs=0)
 
     def test_variant_forwarded(self):
@@ -107,39 +111,6 @@ class TestEnsembleResult:
         assert result.mean_rounds() == 0.0
 
 
-class TestFacadeDelegation:
-    def test_sample_many_delegates_to_engine(self):
-        """sample_many shares one rng stream and the engine's warm cache."""
-        g = graphs.complete_graph(10)
-        sampler = CongestedCliqueTreeSampler(g, FAST)
-        results = sampler.sample_many(3, np.random.default_rng(4))
-        assert len(results) == 3
-        assert sampler.engine.cache.hits >= 2  # phase 1 reused across draws
-
-    def test_sample_many_equals_sequential_engine_runs(self):
-        g = graphs.cycle_with_chord(10)
-        facade = CongestedCliqueTreeSampler(g, FAST).sample_many(
-            3, np.random.default_rng(8)
-        )
-        engine = SamplerEngine(g, FAST)
-        rng = np.random.default_rng(8)
-        direct = [engine.run(rng) for _ in range(3)]
-        assert [r.tree for r in facade] == [r.tree for r in direct]
-
-    def test_sample_many_count_validation(self):
-        g = graphs.path_graph(4)
-        with pytest.raises(GraphError):
-            CongestedCliqueTreeSampler(g, FAST).sample_many(0)
-
-    def test_facade_is_thin(self):
-        """The facade exposes its engine (thin-orchestrator contract)."""
-        g = graphs.path_graph(5)
-        sampler = CongestedCliqueTreeSampler(g, FAST)
-        assert isinstance(sampler.engine, SamplerEngine)
-        assert sampler.engine.graph is g
-        assert sampler.config is sampler.engine.config
-
-
 class TestEnsembleEngineConstruction:
     def test_conflicting_overrides_rejected(self):
         g = graphs.path_graph(5)
@@ -148,18 +119,9 @@ class TestEnsembleEngineConstruction:
             EnsembleEngine(engine, FAST)
         with pytest.raises(GraphError):
             EnsembleEngine(engine, variant="approximate")
-        # Matching or omitted variant is fine (sample_many relies on it).
+        # Matching or omitted variant is fine.
         assert EnsembleEngine(engine).engine is engine
         assert EnsembleEngine(engine, variant="exact").engine is engine
-
-    def test_exact_facade_sample_many_still_works(self):
-        from repro.core import ExactTreeSampler
-
-        g = graphs.cycle_with_chord(8)
-        results = ExactTreeSampler(g, FAST).sample_many(
-            2, np.random.default_rng(3)
-        )
-        assert len(results) == 2
 
 
 class TestMultiprocessCacheStats:
@@ -284,3 +246,115 @@ class TestPoolDegradation:
         assert SampleResult.from_dict(payload).degraded is True
         del payload["degraded"]
         assert SampleResult.from_dict(payload).degraded is False
+
+
+def _bill(results):
+    """Everything a draw delivers: tree, rounds, full ledger, flag."""
+    return [
+        (
+            result.tree,
+            result.rounds,
+            json.dumps(result.ledger.to_dict(), sort_keys=True),
+            result.degraded,
+        )
+        for result in results
+    ]
+
+
+class _PoolBreakingOnSecondChunk:
+    """Runs the first chunk in-process; every later chunk's pool broke."""
+
+    def __init__(self):
+        self.submitted = 0
+        self.shutdowns = []
+
+    def submit(self, fn, payload):
+        self.submitted += 1
+        future = Future()
+        if self.submitted == 1:
+            future.set_result(fn(payload))
+        else:
+            future.set_exception(BrokenProcessPool("worker died"))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shutdowns.append((wait, cancel_futures))
+
+
+class TestOneFanOut:
+    """``sample_ensemble`` is ``iter_ensemble`` collected: one fan-out."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_batch_equals_collected_stream(self, jobs):
+        g = graphs.erdos_renyi_graph(14, rng=np.random.default_rng(11))
+        batch = EnsembleEngine(g, FAST).sample_ensemble(6, seed=5, jobs=jobs)
+        streamed = list(
+            EnsembleEngine(g, FAST).iter_ensemble(6, seed=5, jobs=jobs)
+        )
+        assert _bill(batch.results) == _bill(streamed)
+        assert batch.degraded is False
+        assert not any(result.degraded for result in streamed)
+
+    def test_pool_breaking_mid_batch_keeps_the_delivered_prefix(
+        self, monkeypatch, caplog
+    ):
+        g = graphs.erdos_renyi_graph(14, rng=np.random.default_rng(12))
+        healthy = EnsembleEngine(g, FAST).sample_ensemble(16, seed=4, jobs=1)
+        pool = _PoolBreakingOnSecondChunk()
+        monkeypatch.setattr(
+            EnsembleEngine, "_pool", staticmethod(lambda jobs: pool)
+        )
+        with caplog.at_level("WARNING", logger="repro.engine.ensemble"):
+            broken = EnsembleEngine(g, FAST).sample_ensemble(
+                16, seed=4, jobs=2
+            )
+        # ceil(16 / (4 * 2)) = 2 draws per chunk: chunk 1 was delivered.
+        prefix = 2
+        assert broken.trees == healthy.trees
+        assert broken.degraded is True
+        assert [result.degraded for result in broken.results] == (
+            [False] * prefix + [True] * (16 - prefix)
+        )
+        for result in broken.results:
+            result.degraded = False
+        assert _bill(broken.results) == _bill(healthy.results)
+        assert broken.cache_stats  # prefix worker + local suffix counters
+        warnings = [
+            record for record in caplog.records
+            if record.levelname == "WARNING"
+        ]
+        assert len(warnings) == 1
+        assert "delivered=2" in warnings[0].getMessage()
+        assert pool.shutdowns == [(False, True)]
+
+
+class TestPoolTeardown:
+    """Delivered streams join their workers; abandoned ones do not wait."""
+
+    @staticmethod
+    def _graph():
+        return graphs.erdos_renyi_graph(16, rng=np.random.default_rng(13))
+
+    def test_batch_joins_its_workers(self):
+        before = set(multiprocessing.active_children())
+        EnsembleEngine(self._graph(), FAST).sample_ensemble(4, seed=1, jobs=2)
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_drained_stream_joins_its_workers(self):
+        before = set(multiprocessing.active_children())
+        list(
+            EnsembleEngine(self._graph(), FAST).iter_ensemble(
+                4, seed=1, jobs=2
+            )
+        )
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_close_after_first_result_returns_promptly(self):
+        g = graphs.complete_graph(32)
+        stream = EnsembleEngine(g, FAST).iter_ensemble(80, seed=1, jobs=2)
+        next(stream)  # chunk 1 of 8 (10 draws each) has landed
+        start = time.perf_counter()
+        stream.close()
+        # Joining would wait out the chunks already running in both
+        # workers (10 draws each); cancelling returns at once.
+        assert time.perf_counter() - start < 0.5

@@ -16,10 +16,11 @@ import pytest
 
 from repro import graphs
 from repro.clique import CongestedClique
-from repro.core import CongestedCliqueTreeSampler, SamplerConfig
+from repro.core import SamplerConfig
 from repro.core.midpoints import MidpointBank
 from repro.core.placement import _DP_STATE_BUDGET, place_midpoints
 from repro.core.truncation import LevelView
+from repro.engine import SamplerEngine
 from repro.errors import (
     BandwidthError,
     ModelError,
@@ -37,7 +38,7 @@ class TestPrecisionFallbacks:
         forces the collect-everything path and trees stay valid."""
         g = graphs.cycle_with_chord(6)
         config = SamplerConfig(ell=1 << 8, normalizer_floor_exponent=0.1)
-        result = CongestedCliqueTreeSampler(g, config).sample(rng)
+        result = SamplerEngine(g, config).run(rng)
         assert is_spanning_tree(g, result.tree)
         assert any(s.brute_force_fallbacks > 0 for s in result.phase_stats)
 
@@ -53,7 +54,7 @@ class TestQuotaFailures:
         g = graphs.cycle_graph(24)
         config = SamplerConfig(ell=4, on_failure="error")
         with pytest.raises(SamplingError):
-            CongestedCliqueTreeSampler(g, config).sample(rng)
+            SamplerEngine(g, config).run(rng)
 
     def test_extension_cap_is_loud(self, rng):
         from repro.core.phase import run_phase_walk
@@ -122,15 +123,13 @@ class TestModelViolations:
         # exercised indirectly -- here we just assert normal termination
         # is well within the 4n + 8 cap.
         g = graphs.complete_graph(6)
-        result = CongestedCliqueTreeSampler(
-            g, SamplerConfig(ell=1 << 10)
-        ).sample(rng)
+        result = SamplerEngine(g, SamplerConfig(ell=1 << 10)).run(rng)
         assert result.phases <= 4 * 6 + 8
 
 
 class TestDisconnectedInputsEverywhere:
     def test_all_entry_points_reject_disconnected(self, rng):
-        from repro.core import ExactTreeSampler, sample_tree_fast_cover
+        from repro.core import sample_tree_fast_cover
         from repro.walks import (
             aldous_broder_tree,
             spanning_tree_via_doubling,
@@ -139,8 +138,8 @@ class TestDisconnectedInputsEverywhere:
 
         g = graphs.WeightedGraph.from_edges(4, [(0, 1), (2, 3)])
         for call in (
-            lambda: CongestedCliqueTreeSampler(g),
-            lambda: ExactTreeSampler(g),
+            lambda: SamplerEngine(g),
+            lambda: SamplerEngine(g, variant="exact"),
             lambda: sample_tree_fast_cover(g, rng),
             lambda: aldous_broder_tree(g, rng),
             lambda: wilson_tree(g, rng),

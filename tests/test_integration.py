@@ -6,13 +6,8 @@ import numpy as np
 import pytest
 
 from repro import graphs
-from repro.core import (
-    CongestedCliqueTreeSampler,
-    ExactTreeSampler,
-    SamplerConfig,
-    expected_phases,
-    sample_tree_fast_cover,
-)
+from repro.core import SamplerConfig, expected_phases, sample_tree_fast_cover
+from repro.engine import SamplerEngine
 from repro.graphs import is_spanning_tree
 from repro.walks import aldous_broder_tree, wilson_tree
 
@@ -35,8 +30,8 @@ class TestAllSamplersOnAllFamilies:
     def test_family(self, rng, name, factory):
         g = factory(rng)
         samplers = {
-            "theorem1": lambda: CongestedCliqueTreeSampler(g, FAST).sample_tree(rng),
-            "exact": lambda: ExactTreeSampler(g, FAST).sample_tree(rng),
+            "theorem1": lambda: SamplerEngine(g, FAST).run(rng).tree,
+            "exact": lambda: SamplerEngine(g, FAST, variant="exact").run(rng).tree,
             "fastcover": lambda: sample_tree_fast_cover(g, rng).tree,
             "aldous-broder": lambda: aldous_broder_tree(g, rng),
             "wilson": lambda: wilson_tree(g, rng),
@@ -52,27 +47,27 @@ class TestPhaseCountScaling:
     def test_phase_counts_track_rho(self, rng):
         for n in (9, 16, 25, 36):
             g = graphs.complete_graph(n)
-            result = CongestedCliqueTreeSampler(g, FAST).sample(rng)
+            result = SamplerEngine(g, FAST).run(rng)
             predicted = expected_phases(n, int(np.sqrt(n)))
             assert result.phases <= 2 * predicted + 1
             assert result.phases >= predicted / 2
 
     def test_exact_variant_has_more_phases(self, rng):
         g = graphs.complete_graph(27)
-        approx = CongestedCliqueTreeSampler(g, FAST).sample(rng)
-        exact = ExactTreeSampler(g, FAST).sample(rng)
+        approx = SamplerEngine(g, FAST).run(rng)
+        exact = SamplerEngine(g, FAST, variant="exact").run(rng)
         assert exact.phases > approx.phases
 
 
 class TestRoundAccountingConsistency:
     def test_total_rounds_equal_sum_of_sections(self, rng):
         g = graphs.complete_graph(16)
-        result = CongestedCliqueTreeSampler(g, FAST).sample(rng)
+        result = SamplerEngine(g, FAST).run(rng)
         by_section = result.ledger.rounds_by_section()
         assert sum(by_section.values()) == result.rounds
 
     def test_clique_stats_reported(self, rng):
         g = graphs.complete_graph(9)
-        result = CongestedCliqueTreeSampler(g, FAST).sample(rng)
+        result = SamplerEngine(g, FAST).run(rng)
         assert result.clique_stats["steps"] > 0
         assert result.clique_stats["rounds"] == result.rounds

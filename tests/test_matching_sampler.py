@@ -302,7 +302,8 @@ class TestVectorizedVsReferenceDP:
         is a ``TypeError``), but the resampling oracle still runs the
         reference DP end to end under a phase walk."""
         from repro import graphs
-        from repro.core import CongestedCliqueTreeSampler, SamplerConfig
+        from repro.core import SamplerConfig
+        from repro.engine import SamplerEngine
         from repro.graphs import is_spanning_tree
         from repro.matching.sampler import _PreparedReference
 
@@ -319,8 +320,6 @@ class TestVectorizedVsReferenceDP:
         monkeypatch.setattr(_PreparedReference, "__init__", counting_init)
         g = graphs.complete_graph(16)
         config = SamplerConfig(ell=1 << 10)
-        tree = CongestedCliqueTreeSampler(g, config).sample_tree(
-            np.random.default_rng(0)
-        )
+        tree = SamplerEngine(g, config).run(np.random.default_rng(0)).tree
         assert is_spanning_tree(g, tree)
         assert builds

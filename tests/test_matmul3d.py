@@ -170,13 +170,14 @@ class TestMatmulBackendProtocol:
     def test_sampler_consistent_across_shared_interface(self, rng):
         """The full sampler charges each backend's own category, and the
         ladder charges agree with the backend's closed-form recipe."""
-        from repro.core import CongestedCliqueTreeSampler, SamplerConfig
+        from repro.core import SamplerConfig
+        from repro.engine import SamplerEngine
 
         g = graphs.cycle_with_chord(9)
         trees = {}
         for name in ("analytic", "simulated-3d"):
             config = SamplerConfig(ell=1 << 9, matmul_backend=name)
-            result = CongestedCliqueTreeSampler(g, config).sample(
+            result = SamplerEngine(g, config).run(
                 np.random.default_rng(13)
             )
             categories = result.rounds_by_category()

@@ -61,10 +61,10 @@ class TestDocstrings:
     def test_public_methods_documented(self):
         """Spot check: key classes document their public methods."""
         from repro.clique import CongestedClique, RoundLedger
-        from repro.core import CongestedCliqueTreeSampler
+        from repro.engine import SamplerEngine
         from repro.graphs import WeightedGraph
 
-        for cls in (CongestedClique, RoundLedger, CongestedCliqueTreeSampler,
+        for cls in (CongestedClique, RoundLedger, SamplerEngine,
                     WeightedGraph):
             for name, member in inspect.getmembers(cls):
                 if name.startswith("_") or not callable(member):
@@ -75,7 +75,6 @@ class TestDocstrings:
 class TestConvenienceEntryPoints:
     def test_sample_spanning_tree_is_importable_from_top(self):
         from repro import sample_spanning_tree  # noqa: F401
-        from repro import sample_spanning_tree_exact  # noqa: F401
         from repro import sample_tree_fast_cover  # noqa: F401
 
     def test_error_base_importable(self):

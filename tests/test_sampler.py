@@ -6,11 +6,8 @@ import numpy as np
 import pytest
 
 from repro import graphs
-from repro.core import (
-    CongestedCliqueTreeSampler,
-    SamplerConfig,
-    sample_spanning_tree,
-)
+from repro.core import SamplerConfig, sample_spanning_tree
+from repro.engine import SamplerEngine, sample_tree_ensemble
 from repro.errors import DisconnectedGraphError, GraphError
 from repro.graphs import WeightedGraph, is_spanning_tree
 
@@ -20,7 +17,7 @@ FAST = SamplerConfig(ell=1 << 10)
 class TestBasics:
     def test_returns_spanning_tree(self, rng, small_graphs):
         for name, g in small_graphs.items():
-            tree = CongestedCliqueTreeSampler(g, FAST).sample_tree(rng)
+            tree = SamplerEngine(g, FAST).run(rng).tree
             assert is_spanning_tree(g, tree), name
 
     def test_convenience_function(self):
@@ -42,49 +39,47 @@ class TestBasics:
     def test_disconnected_rejected(self):
         g = WeightedGraph.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(DisconnectedGraphError):
-            CongestedCliqueTreeSampler(g, FAST)
+            SamplerEngine(g, FAST)
 
     def test_too_small_rejected(self):
         g = WeightedGraph(np.zeros((1, 1)))
         with pytest.raises(GraphError):
-            CongestedCliqueTreeSampler(g, FAST)
+            SamplerEngine(g, FAST)
 
     def test_bad_variant_rejected(self):
         g = graphs.path_graph(3)
         with pytest.raises(GraphError):
-            CongestedCliqueTreeSampler(g, FAST, variant="magic")
+            SamplerEngine(g, FAST, variant="magic")
 
     def test_bad_start_vertex(self):
         g = graphs.path_graph(3)
         with pytest.raises(GraphError):
-            CongestedCliqueTreeSampler(
-                g, SamplerConfig(ell=1 << 10, start_vertex=5)
-            )
+            SamplerEngine(g, SamplerConfig(ell=1 << 10, start_vertex=5))
 
     def test_two_vertex_graph(self, rng):
         g = graphs.path_graph(2)
-        tree = CongestedCliqueTreeSampler(g, FAST).sample_tree(rng)
+        tree = SamplerEngine(g, FAST).run(rng).tree
         assert tree == ((0, 1),)
 
     def test_tree_input_returns_itself(self, rng):
         g = graphs.binary_tree_graph(7)
         from repro.graphs import tree_key
 
-        tree = CongestedCliqueTreeSampler(g, FAST).sample_tree(rng)
+        tree = SamplerEngine(g, FAST).run(rng).tree
         assert tree == tree_key(g.edges())
 
 
 class TestDiagnostics:
     def test_phase_count_matches_quota(self, rng):
         g = graphs.complete_graph(16)  # rho = 4: 3 new vertices per phase
-        result = CongestedCliqueTreeSampler(g, FAST).sample(rng)
+        result = SamplerEngine(g, FAST).run(rng)
         assert result.phases == 5  # ceil(15 / 3)
         assert len(result.phase_stats) == result.phases
         assert result.rounds == result.ledger.total_rounds()
 
     def test_phase_stats_consistent(self, rng):
         g = graphs.complete_graph(9)
-        result = CongestedCliqueTreeSampler(g, FAST).sample(rng)
+        result = SamplerEngine(g, FAST).run(rng)
         new_total = sum(len(s.new_vertices) for s in result.phase_stats)
         assert new_total == 8  # every non-start vertex exactly once
         for stats in result.phase_stats:
@@ -92,13 +87,13 @@ class TestDiagnostics:
 
     def test_matmul_dominates_rounds(self, rng):
         g = graphs.complete_graph(12)
-        result = CongestedCliqueTreeSampler(g, FAST).sample(rng)
+        result = SamplerEngine(g, FAST).run(rng)
         categories = result.rounds_by_category()
         assert categories["matmul"] == max(categories.values())
 
     def test_sections_per_phase(self, rng):
         g = graphs.complete_graph(9)
-        result = CongestedCliqueTreeSampler(g, FAST).sample(rng)
+        result = SamplerEngine(g, FAST).run(rng)
         sections = result.ledger.rounds_by_section()
         assert set(sections) == {
             f"phase-{i}" for i in range(1, result.phases + 1)
@@ -130,13 +125,13 @@ class TestConfigurations:
         if oracle is not None:
             oracle_placement(oracle)
         g = graphs.cycle_with_chord(7)
-        tree = CongestedCliqueTreeSampler(g, config).sample_tree(rng)
+        tree = SamplerEngine(g, config).run(rng).tree
         assert is_spanning_tree(g, tree)
 
     def test_start_vertex_respected(self, rng):
         g = graphs.cycle_with_chord(7)
         config = SamplerConfig(ell=1 << 10, start_vertex=3)
-        result = CongestedCliqueTreeSampler(g, config).sample(rng)
+        result = SamplerEngine(g, config).run(rng)
         # Vertex 3 never appears as a "new vertex" (it is the global root).
         for stats in result.phase_stats:
             assert 3 not in stats.new_vertices
@@ -144,22 +139,20 @@ class TestConfigurations:
     def test_simulated_matmul_backend_charges_measured_rounds(self, rng):
         g = graphs.complete_graph(9)
         config = SamplerConfig(ell=1 << 10, matmul_backend="simulated-3d")
-        result = CongestedCliqueTreeSampler(g, config).sample(rng)
+        result = SamplerEngine(g, config).run(rng)
         categories = result.rounds_by_category()
         assert categories.get("matmul-simulated", 0) > 0
 
     def test_weighted_graph_supported(self, rng, weighted_triangle):
-        tree = CongestedCliqueTreeSampler(
-            weighted_triangle, FAST
-        ).sample_tree(rng)
+        tree = SamplerEngine(weighted_triangle, FAST).run(rng).tree
         assert is_spanning_tree(weighted_triangle, tree)
 
 
 class TestBatchSampling:
-    def test_sample_many_count_and_validity(self, rng):
+    def test_engine_loop_count_and_validity(self, rng):
         g = graphs.cycle_with_chord(6)
-        sampler = CongestedCliqueTreeSampler(g, FAST)
-        results = sampler.sample_many(5, rng)
+        engine = SamplerEngine(g, FAST)
+        results = [engine.run(rng) for _ in range(5)]
         assert len(results) == 5
         for result in results:
             assert is_spanning_tree(g, result.tree)
@@ -169,37 +162,32 @@ class TestBatchSampling:
         the charged rounds are bit-identical to fresh runs."""
         g = graphs.complete_graph(9)
         fresh = [
-            CongestedCliqueTreeSampler(g, FAST).sample(
-                np.random.default_rng(s)
-            )
+            SamplerEngine(g, FAST).run(np.random.default_rng(s))
             for s in (1, 2)
         ]
-        sampler = CongestedCliqueTreeSampler(g, FAST)
-        cached = [sampler.sample(np.random.default_rng(s)) for s in (1, 2)]
+        engine = SamplerEngine(g, FAST)
+        cached = [engine.run(np.random.default_rng(s)) for s in (1, 2)]
         for a, b in zip(fresh, cached):
             assert a.tree == b.tree
             assert a.rounds == b.rounds
 
     def test_sample_trees_shape(self, rng):
         g = graphs.path_graph(4)
-        trees = CongestedCliqueTreeSampler(g, FAST).sample_trees(3, rng)
+        engine = SamplerEngine(g, FAST)
+        trees = [engine.run(rng).tree for _ in range(3)]
         assert len(trees) == 3
 
     def test_count_validation(self, rng):
         g = graphs.path_graph(4)
         with pytest.raises(GraphError):
-            CongestedCliqueTreeSampler(g, FAST).sample_many(0, rng)
+            sample_tree_ensemble(g, 0, config=FAST, seed=rng)
 
 
 class TestScaling:
     def test_rounds_grow_sublinearly_in_phase_count(self, rng):
         """More vertices -> more phases -> more rounds, with per-phase cost
         dominated by the analytic matmul charge."""
-        small = CongestedCliqueTreeSampler(
-            graphs.complete_graph(9), FAST
-        ).sample(rng)
-        large = CongestedCliqueTreeSampler(
-            graphs.complete_graph(25), FAST
-        ).sample(rng)
+        small = SamplerEngine(graphs.complete_graph(9), FAST).run(rng)
+        large = SamplerEngine(graphs.complete_graph(25), FAST).run(rng)
         assert large.phases > small.phases
         assert large.rounds > small.rounds

@@ -18,12 +18,8 @@ from repro.analysis import (
     expected_tv_noise,
     tv_to_uniform,
 )
-from repro.core import (
-    CongestedCliqueTreeSampler,
-    ExactTreeSampler,
-    SamplerConfig,
-    sample_tree_fast_cover,
-)
+from repro.core import SamplerConfig, sample_tree_fast_cover
+from repro.engine import SamplerEngine
 from repro.graphs import uniform_tree_distribution
 
 GRAPH = graphs.cycle_with_chord(5)  # 11 spanning trees
@@ -44,8 +40,8 @@ def assert_uniform(trees, *, p_floor=1e-3, tv_factor=4.0):
 class TestTheorem1Sampler:
     def test_uniform(self):
         rng = np.random.default_rng(11)
-        sampler = CongestedCliqueTreeSampler(GRAPH, FAST)
-        assert_uniform([sampler.sample_tree(rng) for _ in range(1500)])
+        engine = SamplerEngine(GRAPH, FAST)
+        assert_uniform([engine.run(rng).tree for _ in range(1500)])
 
     def test_uniform_with_mcmc_matching(self, oracle_placement):
         """Placement resampled by the MCMC oracle instead of read from
@@ -58,23 +54,23 @@ class TestTheorem1Sampler:
         # -- see resample_placement; cold-start mixing is exercised in
         # tests/test_matching_sampler.py instead.
         oracle_placement("mcmc", mcmc_steps=200)
-        sampler = CongestedCliqueTreeSampler(GRAPH, FAST)
-        assert_uniform([sampler.sample_tree(rng) for _ in range(800)])
+        engine = SamplerEngine(GRAPH, FAST)
+        assert_uniform([engine.run(rng).tree for _ in range(800)])
 
     def test_uniform_with_reduced_precision(self):
         """Section 2.5: the algorithm stays within eps at finite precision."""
         rng = np.random.default_rng(13)
         config = SamplerConfig(ell=1 << 10, precision_bits=48)
-        sampler = CongestedCliqueTreeSampler(GRAPH, config)
-        assert_uniform([sampler.sample_tree(rng) for _ in range(1200)])
+        engine = SamplerEngine(GRAPH, config)
+        assert_uniform([engine.run(rng).tree for _ in range(1200)])
 
 
 @pytest.mark.slow
 class TestExactSampler:
     def test_uniform(self):
         rng = np.random.default_rng(21)
-        sampler = ExactTreeSampler(GRAPH, FAST)
-        assert_uniform([sampler.sample_tree(rng) for _ in range(1500)])
+        engine = SamplerEngine(GRAPH, FAST, variant="exact")
+        assert_uniform([engine.run(rng).tree for _ in range(1500)])
 
 
 @pytest.mark.slow
@@ -91,8 +87,8 @@ class TestWeightedTarget:
     def test_weighted_tree_law(self, weighted_triangle):
         """Footnote 1: weighted inputs sample trees prop to weight products."""
         rng = np.random.default_rng(41)
-        sampler = CongestedCliqueTreeSampler(weighted_triangle, FAST)
-        trees = [sampler.sample_tree(rng) for _ in range(1500)]
+        engine = SamplerEngine(weighted_triangle, FAST)
+        trees = [engine.run(rng).tree for _ in range(1500)]
         target = uniform_tree_distribution(weighted_triangle)
         from repro.analysis import empirical_tree_distribution, tv_distance
 
